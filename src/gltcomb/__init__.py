@@ -17,6 +17,7 @@ from .diagrams import (
     FAMILY_DPRIME,
     WeightDiagram,
     build_diagram,
+    core_key,
     core_of,
     same_core,
     stable_window,
@@ -59,6 +60,7 @@ __all__ = [
     "FAMILY_DPRIME",
     "WeightDiagram",
     "build_diagram",
+    "core_key",
     "core_of",
     "same_core",
     "stable_window",

@@ -14,6 +14,7 @@ from .diagrams import (
     ParamT,
     WeightDiagram,
     build_diagram,
+    core_key,
     is_generic,
     same_core,
 )
@@ -131,15 +132,21 @@ def mult_D(lam: Bipartition, mu: Bipartition, t: ParamT) -> int:
 
 @lru_cache(maxsize=None)
 def D_matrix(t: ParamT, n: int) -> BipartitionMatrix:
-    """All multiplicities mult_D over bipartitions of size at most n."""
+    """All multiplicities mult_D over bipartitions of size at most n.
+
+    mult_D vanishes between different cores, so only pairs inside one core
+    block are tried."""
     if n < 0:
         raise ValueError("size bound must be nonnegative")
     m = BipartitionMatrix(n)
     index = bipartitions_up_to(n)
     if is_generic(t):
         return BipartitionMatrix.identity(n)
+    blocks: dict[tuple, list[Bipartition]] = {}
+    for bp in index:
+        blocks.setdefault(core_key(bp, t), []).append(bp)
     for lam in index:
-        for mu in index:
+        for mu in blocks[core_key(lam, t)]:
             if mu.size > lam.size:
                 continue
             v = mult_D(lam, mu, t)

@@ -48,6 +48,12 @@ def _parse_partition(text: str) -> Partition:
         raise CliError(str(exc)) from None
 
 
+def _require_size(n: int) -> int:
+    if n < 0:
+        raise CliError(f"--max-size must be nonnegative, got {n}")
+    return n
+
+
 def _require_int_t(t):
     if diag_mod.is_generic(t):
         raise CliError("this command requires an integer --t")
@@ -99,12 +105,14 @@ MATRIX_KINDS = ["D", "Dinv", "B", "b", "atilde", "etilde", "A"]
 
 def cmd_matrix(args) -> int:
     t = _parse_t(args.t)
-    n = args.max_size
+    n = _require_size(args.max_size)
     kind = args.kind
     needs_a = kind in ("atilde", "etilde", "A")
     if needs_a and args.a is None:
         raise CliError(f"matrix kind {kind!r} needs --a")
     family = args.family
+    if needs_a and diag_mod.is_generic(t) and family is None:
+        raise CliError(f"matrix kind {kind!r} at generic t needs --family")
     if kind == "D":
         m = caps_mod.D_matrix(t, n)
     elif kind == "Dinv":
@@ -247,7 +255,7 @@ def _parse_range(text: str) -> tuple[int, ...]:
 def cmd_verify(args) -> int:
     cfg = verify_mod.VerifyConfig(
         t_values=_parse_range(args.t_range),
-        max_size=args.max_size,
+        max_size=_require_size(args.max_size),
         seed=args.seed,
     )
     results = verify_mod.run_all(cfg)

@@ -164,22 +164,32 @@ def core_of(d: WeightDiagram) -> WeightDiagram:
     return replace(d, symbols=cored_symbols, cored=True)
 
 
+def core_key(lam: Bipartition, t: int, family: str = FAMILY_DPRIME) -> tuple[tuple[int, str], ...]:
+    """The core of lam's weight diagram as a hashable key: the (position,
+    symbol) pairs of its '>' and '<' symbols, for integer t.
+
+    Outside the stable window both tails are circles once crosses are cored,
+    so two diagrams have the same core exactly when their keys are equal.
+    """
+    if is_generic(t):
+        raise ValueError("core keys are defined for integer t only")
+    d = build_diagram(lam, t, family)
+    left = d.window[0]
+    return tuple((left + k, sym) for k, sym in enumerate(d.symbols) if sym in (GT, LT))
+
+
 def same_core(lam: Bipartition, mu: Bipartition, t: ParamT, family: str = FAMILY_DPRIME) -> bool:
     """Whether the cores of the two weight diagrams agree at every integer."""
-    if is_generic(t):
-        # The off-lattice C-track carries '>' symbols at positions t + (black_i - i);
-        # equal cores force equal black beta-sets, i.e. equal black partitions.
-        if lam.black != mu.black:
-            return False
-        dl = build_diagram(lam, t, family)
-        dm = build_diagram(mu, t, family)
-        left = min(dl.window[0], dm.window[0])
-        right = max(dl.window[1], dm.window[1])
-    else:
-        dl = build_diagram(lam, t, family)
-        dm = build_diagram(mu, t, family)
-        left = min(dl.window[0], dm.window[0])
-        right = max(dl.window[1], dm.window[1])
+    if not is_generic(t):
+        return core_key(lam, t, family) == core_key(mu, t, family)
+    # The off-lattice C-track carries '>' symbols at positions t + (black_i - i);
+    # equal cores force equal black beta-sets, i.e. equal black partitions.
+    if lam.black != mu.black:
+        return False
+    dl = build_diagram(lam, t, family)
+    dm = build_diagram(mu, t, family)
+    left = min(dl.window[0], dm.window[0])
+    right = max(dl.window[1], dm.window[1])
     cl, cm = core_of(dl), core_of(dm)
     return all(cl.symbol(s) == cm.symbol(s) for s in range(left, right + 1))
 

@@ -125,8 +125,10 @@ def _poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, 
 def schur_product_oracle(mu: Partition, kappa: Partition, nvars: int) -> dict[Partition, int]:
     """Expand s_mu * s_kappa into Schur polynomials by iterated
     leading-monomial subtraction in nvars variables."""
-    if nvars < mu.size + kappa.size:
-        raise ValueError(f"need at least {mu.size + kappa.size} variables, got {nvars}")
+    # c^lam_{mu kappa} != 0 forces len(lam) <= len(mu) + len(kappa), so that
+    # many variables keep every s_lam of the product independent and nonzero.
+    if nvars < mu.length + kappa.length:
+        raise ValueError(f"need at least {mu.length + kappa.length} variables, got {nvars}")
     product = _poly_mul(schur_polynomial(mu, nvars), schur_polynomial(kappa, nvars))
     result: dict[Partition, int] = {}
     while product:

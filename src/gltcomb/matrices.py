@@ -77,11 +77,11 @@ class BipartitionMatrix:
         )
 
     def is_unitriangular(self) -> bool:
-        """Unit diagonal and support only where row size >= column size."""
+        """Unit diagonal and off-diagonal support only where row size > column size."""
         for bp in self.index():
             if self.get(bp, bp) != 1:
                 return False
-        return all(r.size >= c.size or v == 0 for (r, c), v in self.entries.items())
+        return all(r == c or r.size > c.size or v == 0 for (r, c), v in self.entries.items())
 
     def to_json(self, t=None) -> dict:
         items = sorted(self.entries.items(), key=lambda kv: (sort_key(kv[0][0]), sort_key(kv[0][1])))

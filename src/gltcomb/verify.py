@@ -368,7 +368,7 @@ def check_lr_oracle(cfg: VerifyConfig, total: int | None = None) -> CheckResult:
     bound = total if total is not None else min(cfg.max_size + 2, 8)
     for mu in partitions_up_to(bound):
         for kappa in partitions_up_to(bound - mu.size):
-            nvars = max(mu.size + kappa.size, 1)
+            nvars = max(mu.length + kappa.length, 1)
             expansion = lr_mod.schur_product_oracle(mu, kappa, nvars)
             for lam in partitions_up_to(mu.size + kappa.size):
                 if lam.size != mu.size + kappa.size:

@@ -97,6 +97,23 @@ def test_d_matrix_unitriangular_and_inverse():
         assert inv.mul(d) == BipartitionMatrix.identity(4)
 
 
+def all_pairs_d_matrix(t, n):
+    """D(t) by brute force: mult_D on every pair of the index."""
+    m = BipartitionMatrix(n)
+    index = bipartitions_up_to(n)
+    for lam in index:
+        for mu in index:
+            if mu.size <= lam.size and (v := mult_D(lam, mu, t)):
+                m.entries[(lam, mu)] = v
+    return m
+
+
+@pytest.mark.parametrize("n, t_values", [(6, range(-3, 4)), (5, range(-6, 7))])
+def test_d_matrix_matches_all_pairs(n, t_values):
+    for t in t_values:
+        assert D_matrix(t, n) == all_pairs_d_matrix(t, n)
+
+
 def test_d_matrix_generic_is_identity():
     assert D_matrix(GENERIC, 3) == BipartitionMatrix.identity(3)
 

@@ -124,6 +124,17 @@ def test_bad_t_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--kind", "D", "--t", "0", "--max-size", "-1"],
+    ["matrix", "--kind", "A", "--a", "0", "--t", "generic", "--max-size", "3"],
+    ["verify", "--max-size", "-1"],
+])
+def test_malformed_input_exits_2_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+
+
 def test_generic_t_where_integer_needed(capsys):
     code, _, err = run(capsys, "caps", "--t", "generic", "[[],[]]")
     assert code == 2

@@ -7,6 +7,7 @@ from gltcomb.diagrams import (
     FAMILY_DPRIME,
     GENERIC,
     build_diagram,
+    core_key,
     core_of,
     diagram_to_bipartition,
     same_core,
@@ -112,3 +113,26 @@ def test_json_contains_symbols():
     assert payload["family"] == FAMILY_D
     assert payload["t"] == 0
     assert isinstance(payload["symbols"], str)
+
+
+def window_same_core(lam, mu, t, family):
+    """Cored symbols compared position by position over the union window."""
+    dl, dm = build_diagram(lam, t, family), build_diagram(mu, t, family)
+    left = min(dl.window[0], dm.window[0])
+    right = max(dl.window[1], dm.window[1])
+    cl, cm = core_of(dl), core_of(dm)
+    return all(cl.symbol(s) == cm.symbol(s) for s in range(left, right + 1))
+
+
+@pytest.mark.parametrize("family", [FAMILY_D, FAMILY_DPRIME])
+def test_same_core_matches_window_comparison(family):
+    index = bipartitions_up_to(4)
+    for t in range(-4, 5):
+        for lam in index:
+            for mu in index:
+                assert same_core(lam, mu, t, family) == window_same_core(lam, mu, t, family)
+
+
+def test_core_key_rejects_generic_t():
+    with pytest.raises(ValueError):
+        core_key(Bipartition.of((), ()), GENERIC)

@@ -1,3 +1,5 @@
+import pytest
+
 from gltcomb.lr import B_entry, B_matrix, lr_coeff, schur_polynomial, schur_product_oracle
 from gltcomb.partitions import Bipartition, Partition, partitions_up_to
 
@@ -40,6 +42,19 @@ def test_oracle_agreement_small():
             for lam in partitions_up_to(total):
                 if lam.size == total:
                     assert lr_coeff(lam, mu, kappa) == expansion.get(lam, 0)
+
+
+def test_oracle_needs_only_length_many_variables():
+    for mu in partitions_up_to(5):
+        for kappa in partitions_up_to(5 - mu.size):
+            few = max(mu.length + kappa.length, 1)
+            many = max(mu.size + kappa.size, 1)
+            assert schur_product_oracle(mu, kappa, few) == schur_product_oracle(mu, kappa, many)
+
+
+def test_oracle_rejects_too_few_variables():
+    with pytest.raises(ValueError):
+        schur_product_oracle(P(2, 1), P(1), 2)
 
 
 def test_oracle_expansion_example():
