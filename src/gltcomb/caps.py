@@ -14,7 +14,7 @@ from .diagrams import (
     ParamT,
     WeightDiagram,
     build_diagram,
-    core_key,
+    core_blocks,
     is_generic,
     same_core,
 )
@@ -142,11 +142,9 @@ def D_matrix(t: ParamT, n: int) -> BipartitionMatrix:
     index = bipartitions_up_to(n)
     if is_generic(t):
         return BipartitionMatrix.identity(n)
-    blocks: dict[tuple, list[Bipartition]] = {}
-    for bp in index:
-        blocks.setdefault(core_key(bp, t), []).append(bp)
+    blocks = core_blocks(index, t)
     for lam in index:
-        for mu in blocks[core_key(lam, t)]:
+        for mu in blocks[lam]:
             if mu.size > lam.size:
                 continue
             v = mult_D(lam, mu, t)

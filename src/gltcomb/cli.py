@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import caps as caps_mod
 from . import diagrams as diag_mod
@@ -366,8 +367,15 @@ def _glue_range_flags(argv: list[str]) -> list[str]:
     return out
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and shared by later calls: parsing
+    # leaves no state on it (each call gets a fresh Namespace)
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_glue_range_flags(list(argv)))

@@ -72,30 +72,35 @@ class Partition:
         return out
 
     def add_box(self, a: int) -> Optional["Partition"]:
-        """The unique partition in nu + box_a, or None."""
+        """The unique partition in nu + box_a, or None.
+
+        One pass down the rows: row i (0-based) offers content rows[i] - i,
+        which strictly decreases, so the scan stops once it drops below a."""
         if not isinstance(a, int):
             return None
-        for i in range(1, self.length + 2):
-            if (i == 1 or self.row(i - 1) > self.row(i)) and self.row(i) + 1 - i == a:
-                rows = list(self.rows)
-                if i <= len(rows):
-                    rows[i - 1] += 1
-                else:
-                    rows.append(1)
-                return Partition(tuple(rows))
+        rows = self.rows
+        for i, r in enumerate(rows):
+            c = r - i
+            if c <= a:
+                if c < a or (i and rows[i - 1] == r):
+                    return None
+                return Partition(rows[:i] + (r + 1,) + rows[i + 1 :])
+        if a == -len(rows):
+            return Partition(rows + (1,))
         return None
 
     def remove_box(self, a: int) -> Optional["Partition"]:
-        """The unique partition in nu - box_a, or None."""
+        """The unique partition in nu - box_a, or None (same single pass)."""
         if not isinstance(a, int):
             return None
-        for i in range(1, self.length + 1):
-            if self.row(i) > self.row(i + 1) and self.row(i) - i == a:
-                rows = list(self.rows)
-                rows[i - 1] -= 1
-                if rows[i - 1] == 0:
-                    rows.pop()
-                return Partition(tuple(rows))
+        rows = self.rows
+        last = len(rows) - 1
+        for i, r in enumerate(rows):
+            c = r - i - 1
+            if c <= a:
+                if c < a or (i < last and rows[i + 1] == r):
+                    return None
+                return Partition(rows[:i] + ((r - 1,) if r > 1 else ()) + rows[i + 1 :])
         return None
 
     def cells(self) -> Iterator[tuple[int, int]]:

@@ -344,8 +344,11 @@ def check_order_compatibility(cfg: VerifyConfig) -> CheckResult:
     res = CheckResult("caps.order-compatibility", 0)
     index = bipartitions_up_to(cfg.max_size)
     for t in cfg.t_values:
+        # mult_D vanishes across cores, so only pairs inside a core block are
+        # tried; both size directions stay in, so a wrong-way lift is caught.
+        blocks = diag_mod.core_blocks(index, t)
         for lam in index:
-            for mu in index:
+            for mu in blocks[lam]:
                 if caps_mod.mult_D(lam, mu, t) != 1:
                     continue
                 res.instances += 1
@@ -600,19 +603,27 @@ def check_above_diagonal(cfg: VerifyConfig, gen_range: int | None = None, t_valu
     res = CheckResult("grothendieck.above-diagonal", 0)
     rng = gen_range if gen_range is not None else min(cfg.max_size, 4)
     bound = max_size if max_size is not None else cfg.max_size
+    index = bipartitions_up_to(bound)
+    pos = {bp: i for i, bp in enumerate(index)}
+    sizes = [bp.size for bp in index]
+    above_pairs = sum(1 for l in sizes for m in sizes if l < m)
     below_support = 0
     for t in t_values if t_values is not None else cfg.t_values:
         for a in range(-rng, rng + 1):
-            big = groth_mod.a_matrix(a, t, bound)
-            tilde = groth_mod.a_tilde(a, t, bound)
-            for lam in bipartitions_up_to(bound):
-                for mu in bipartitions_up_to(bound):
-                    if lam.size < mu.size:
-                        res.instances += 1
-                        if big.get(lam, mu) != tilde.get(lam, mu):
-                            res.failures.append(f"above-diagonal differs: {lam}, {mu}, a={a}, t={t}")
-                    elif lam.size > mu.size and big.get(lam, mu) and not tilde.get(lam, mu):
-                        below_support += 1
+            big = groth_mod.a_matrix(a, t, bound).entries
+            tilde = groth_mod.a_tilde(a, t, bound).entries
+            res.instances += above_pairs
+            differ = [
+                (lam, mu)
+                for lam, mu in big.keys() | tilde.keys()
+                if lam.size < mu.size and big.get((lam, mu), 0) != tilde.get((lam, mu), 0)
+            ]
+            differ.sort(key=lambda key: (pos[key[0]], pos[key[1]]))
+            for lam, mu in differ:
+                res.failures.append(f"above-diagonal differs: {lam}, {mu}, a={a}, t={t}")
+            below_support += sum(
+                1 for (lam, mu), v in big.items() if lam.size > mu.size and v and not tilde.get((lam, mu))
+            )
     res.notes.append(f"below-diagonal extra support entries observed: {below_support}")
     return res
 
@@ -633,26 +644,34 @@ def check_matrix_commutators(cfg: VerifyConfig, gen_range: int | None = None, ma
     res = CheckResult("grothendieck.matrix-commutators", 0)
     rng = gen_range if gen_range is not None else min(cfg.max_size, 3)
     bound = max_size if max_size is not None else cfg.max_size
-    interior = [bp for bp in bipartitions_up_to(bound) if bp.size <= bound - 1]
+    index = bipartitions_up_to(bound)
+    pos = {bp: i for i, bp in enumerate(index)}
+    interior = [bp for bp in index if bp.size <= bound - 1]
+    gens = range(-rng, rng + 1)
     for t in t_values if t_values is not None else cfg.t_values:
-        for a in range(-rng, rng + 1):
-            for b in range(-rng, rng + 1):
-                f_mat = groth_mod.a_tilde(b, t, bound)
-                e_mat = groth_mod.e_tilde(a, t, bound)
+        f_mats = {b: groth_mod.a_tilde(b, t, bound) for b in gens}
+        e_mats = {a: groth_mod.e_tilde(a, t, bound) for a in gens}
+        for a in gens:
+            e_mat = e_mats[a]
+            for b in gens:
+                f_mat = f_mats[b]
                 # row-vector convention: F then E is f_mat.mul(e_mat)
-                comm = f_mat.mul(e_mat)
-                fe = e_mat.mul(f_mat)
+                diff = dict(f_mat.mul(e_mat).entries)
+                for key, v in e_mat.mul(f_mat).entries.items():
+                    diff[key] = diff.get(key, 0) - v
+                if a == b:
+                    for lam in interior:
+                        h = n_weight(lam.black, a) - n_weight(lam.white, -(a + t))
+                        diff[(lam, lam)] = diff.get((lam, lam), 0) - h
+                # the first offending mu of each row, in index order
+                first_bad: dict[Bipartition, Bipartition] = {}
+                for (lam, mu), v in diff.items():
+                    if v and (lam not in first_bad or pos[mu] < pos[first_bad[lam]]):
+                        first_bad[lam] = mu
+                res.instances += len(interior)
                 for lam in interior:
-                    res.instances += 1
-                    for mu in bipartitions_up_to(bound):
-                        val = comm.get(lam, mu) - fe.get(lam, mu)
-                        if a == b and mu == lam:
-                            want = n_weight(lam.black, a) - n_weight(lam.white, -(a + t))
-                        else:
-                            want = 0
-                        if val != want:
-                            res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {lam}->{mu}")
-                            break
+                    if lam in first_bad:
+                        res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {lam}->{first_bad[lam]}")
     return res
 
 
@@ -661,16 +680,21 @@ def check_eigen_support(cfg: VerifyConfig) -> CheckResult:
     index = bipartitions_up_to(cfg.max_size)
     for t in cfg.t_values:
         span = cfg.max_size + abs(t) + 2
-        tilde = {a: groth_mod.a_tilde(a, t, cfg.max_size) for a in range(-span, span + 1)}
+        # (lam, mu) -> the a, ascending, whose translation matrix connects them
+        hits: dict[tuple[Bipartition, Bipartition], list[int]] = {}
+        for a in range(-span, span + 1):
+            for key, v in groth_mod.a_tilde(a, t, cfg.max_size).entries.items():
+                if v:
+                    hits.setdefault(key, []).append(a)
         for lam in index:
             for mu in index:
                 res.instances += 1
                 label = groth_mod.x_eigenvalue(lam, mu, t)
-                hits = [a for a, m in tilde.items() if m.get(lam, mu)]
+                found = hits.get((lam, mu), [])
                 if label is None:
-                    if hits:
+                    if found:
                         res.failures.append(f"missing label: {lam}->{mu}, t={t}")
-                elif hits != [label.value(t)]:
+                elif found != [label.value(t)]:
                     res.failures.append(f"label {label} disagrees with connections: {lam}->{mu}, t={t}")
     return res
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gltcomb import cli
 from gltcomb.cli import main
 
 
@@ -174,3 +178,82 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["val"] == 1
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    lam = "[[2],[2]]"
+    _, out_d, _ = run(capsys, "diagram", "--format", "json", "--t", "1", "--family", "d", lam)
+    code, out, _ = run(capsys, "diagram", "--format", "json", "--t", "1", lam)
+    assert code == 0
+    assert json.loads(out_d)["family"] == "d"
+    assert json.loads(out)["family"] == "dprime"
+    assert run(capsys, "diagram", "--t", "maybe", lam)[0] == 2
+    assert run(capsys, "diagram", "--t", "1", lam)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["diagram", "--family", "nope", lam])
+    assert exc.value.code == 2
+    assert run(capsys, "diagram", lam)[0] == 0
+
+
+# Tokens for the fuzz test: well-formed values of size at most 3 mixed with
+# malformed and edge-case ones.
+BIPARTITIONS = ["[[],[]]", "[[1],[1]]", "[[2,1],[]]", "[[],[1,1,1]]", "[[1],[2]]", "[[2],[1]]",
+                "[[1,2],[]]", "[[],[0,1]]", "[[-1],[]]", "[[a],[]]", "[[1,],[]]", "[[1]]",
+                "[[1],[1],[1]]", "[1]", "[[1] , [ 1 ]]", "", "[]", "[[],[]", "[[0_1],[]]"]
+PARTITIONS = ["[]", "[1]", "[2,1]", "[1,1,1]", "[1,2]", "[0,1]", "[-1]", "[x]", "[1,]", "1", "", "[[1]]"]
+T_VALUES = ["0", "1", "-3", "7", "generic", "GENERIC", "", "1.5", "+2", " -1", "0x1", "1_0", "nan"]
+INTS = ["0", "1", "-1", "3", "-4", "", "x", "2.0", "1_0"]
+SIZES = ["-1", "0", "1", "2", "3", "x", ""]
+RANGES = ["-1..1", "0..0", "2..1", "-2..-1", "..", "1", "a..b", "0..1..2", "-1..", ""]
+WORDS = ["f0", "e-1 f2", "f0 f0", "", "g0", "f", "e1x", "f-0", "e 1", "f0  e0"]
+STARTS = ["[]", "[1]", "[[1],[]]", "0", "-2", "(2,1,0)", "(0,1)", "()", "x", "(1,1)"]
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+
+def _argv():
+    fmt = _opt("--format", ["text", "json", "xml"])
+    t = _opt("--t", T_VALUES)
+    bp = st.sampled_from(BIPARTITIONS)
+    part = st.sampled_from(PARTITIONS)
+    cases = [
+        st.tuples(st.just(["diagram"]), fmt, t, _opt("--family", ["d", "dprime", "x"]), bp.map(lambda v: [v])),
+        st.tuples(st.just(["caps"]), fmt, t, bp.map(lambda v: [v])),
+        st.tuples(st.sampled_from([["mult"], ["homdim"], ["eigen"]]), fmt, t,
+                  st.lists(bp, min_size=2, max_size=2)),
+        st.tuples(st.just(["matrix"]), fmt, t,
+                  st.sampled_from(["D", "Dinv", "B", "b", "atilde", "etilde", "A", "Q"]).map(
+                      lambda v: ["--kind", v]),
+                  _opt("--max-size", SIZES), _opt("--a", INTS), _opt("--family", ["integer", "shifted", "x"])),
+        st.tuples(st.just(["decompose"]), fmt, t, bp.map(lambda v: [v])),
+        st.tuples(st.just(["fock"]), fmt, t,
+                  _opt("--mode", ["plain", "twisted", "shifted", "tensor", "taut", "wedge", "x"]),
+                  _opt("--n", ["0", "1", "2", "3", "-1", "x"]),
+                  st.tuples(st.sampled_from(WORDS), st.sampled_from(STARTS)).map(list)),
+        st.tuples(st.just(["lr"]), fmt, st.lists(part, min_size=3, max_size=3)),
+        st.tuples(st.just(["verify"]), fmt, _opt("--t-range", RANGES),
+                  st.sampled_from(["-1", "0", "1", "x"]).map(lambda v: ["--max-size", v]),
+                  _opt("--seed", INTS)),
+        st.tuples(st.sampled_from([[], ["nope"], ["--help"], ["diagram", "--help"], ["lr", "[1]"],
+                                   ["mult", "[[],[]]"]])),
+    ]
+    return st.one_of(cases).map(lambda parts: [tok for part in parts for tok in part])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

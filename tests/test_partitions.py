@@ -136,3 +136,27 @@ def test_json_roundtrip():
     lam = Bipartition.of((3, 1), (2,))
     assert lam.to_json() == [[3, 1], [2]]
     assert Partition.of(3, 1).to_json() == [3, 1]
+
+
+def _move_cell(nu, a, step):
+    """Reference box move: grow (step 1) or shrink (step -1) the row whose
+    end cell has content a, keeping the result only if it is a partition."""
+    rows = list(nu.rows) + [0]
+    for i in range(len(rows)):
+        end = rows[i] + (1 if step == 1 else 0)  # column of the cell moved
+        if end - (i + 1) == a and end > 0:
+            rows[i] += step
+            if all(rows[k] >= rows[k + 1] for k in range(len(rows) - 1)):
+                return Partition(tuple(r for r in rows if r))
+            return None
+    return None
+
+
+def test_box_moves_match_reference():
+    for nu in partitions_up_to(8):
+        for a in range(-10, 11):
+            assert nu.add_box(a) == _move_cell(nu, a, 1), (nu, a)
+            assert nu.remove_box(a) == _move_cell(nu, a, -1), (nu, a)
+        for a in (0.5, 1.0, "0", None):
+            assert nu.add_box(a) is None
+            assert nu.remove_box(a) is None

@@ -1,0 +1,120 @@
+"""The sparse verify checks: default-config counts, and injected defects that
+each rewritten check must still report with its usual message."""
+
+import pytest
+
+from gltcomb import caps, grothendieck, verify
+from gltcomb.partitions import Bipartition
+
+VAC = Bipartition.of((), ())
+ONE = Bipartition.of((1,), (1,))
+SMALL = verify.VerifyConfig(t_values=(-1, 0, 1), max_size=3)
+
+
+@pytest.mark.parametrize("check, instances, notes", [
+    (verify.check_above_diagonal, 28791, ["below-diagonal extra support entries observed: 2"]),
+    (verify.check_matrix_commutators, 6174, []),
+    (verify.check_eigen_support, 10108, []),
+    (verify.check_order_compatibility, 285, []),
+])
+def test_default_config_counts(check, instances, notes):
+    res = check(verify.VerifyConfig())
+    assert (res.instances, res.failures, res.notes) == (instances, [], notes)
+
+
+def test_above_diagonal_reports_extra_entries_in_index_order(monkeypatch):
+    real = grothendieck.a_matrix
+
+    def a_matrix(a, t, n, family=None):
+        m = real(a, t, n, family)
+        if (a, t) == (0, 0):
+            m.entries[(VAC, Bipartition.of((2,), ()))] = 1
+            m.entries[(VAC, Bipartition.of((1, 1), ()))] = 1
+        return m
+
+    monkeypatch.setattr(grothendieck, "a_matrix", a_matrix)
+    res = verify.check_above_diagonal(SMALL, gen_range=1)
+    assert res.instances == 873
+    assert res.failures == [
+        "above-diagonal differs: [[],[]], [[1,1],[]], a=0, t=0",
+        "above-diagonal differs: [[],[]], [[2],[]], a=0, t=0",
+    ]
+
+
+def test_matrix_commutators_report_dropped_entry(monkeypatch):
+    real = grothendieck.e_tilde
+
+    def e_tilde(a, t, n, family=None):
+        m = real(a, t, n, family)
+        if (a, t) == (0, 0):
+            del m.entries[(Bipartition.of((1,), ()), VAC)]
+        return m
+
+    monkeypatch.setattr(grothendieck, "e_tilde", e_tilde)
+    res = verify.check_matrix_commutators(SMALL, gen_range=1)
+    assert res.instances == 216
+    assert res.failures == [
+        "matrix commutator: a=0, b=0, t=0, [[],[]]->[[],[]]",
+        "matrix commutator: a=0, b=0, t=0, [[1],[]]->[[1],[]]",
+        "matrix commutator: a=0, b=0, t=0, [[1],[1]]->[[],[]]",
+    ]
+
+
+def test_eigen_support_reports_missing_label(monkeypatch):
+    real = grothendieck.x_eigenvalue
+    box = Bipartition.of((1,), ())
+    monkeypatch.setattr(
+        grothendieck, "x_eigenvalue",
+        lambda lam, mu, t: None if (lam, mu, t) == (VAC, box, 0) else real(lam, mu, t),
+    )
+    res = verify.check_eigen_support(SMALL)
+    assert res.failures == ["missing label: [[],[]]->[[1],[]], t=0"]
+
+
+def test_order_compatibility_reports_wrong_way_lift(monkeypatch):
+    real = caps.mult_D
+    monkeypatch.setattr(
+        caps, "mult_D", lambda lam, mu, t: 1 if (lam, mu, t) == (VAC, ONE, 0) else real(lam, mu, t)
+    )
+    res = verify.check_order_compatibility(SMALL)
+    assert res.instances == 60
+    assert res.failures == [
+        "size order violated: [[],[]], [[1],[1]], t=0",
+        "partial sums violated: [[],[]], [[1],[1]], t=0",
+        "dominance violated: [[],[]], [[1],[1]], t=0",
+    ]
+
+
+def test_matrix_commutators_report_first_offending_column(monkeypatch):
+    # E_1 gains vacuum -> [[],[1]], so row vacuum of E_1 F_0 picks up both
+    # entries of F_0 [[],[1]]; the report names the first in index order
+    real = grothendieck.e_tilde
+
+    def e_tilde(a, t, n, family=None):
+        m = real(a, t, n, family)
+        if (a, t) == (1, 0):
+            m.entries[(VAC, Bipartition.of((), (1,)))] = 1
+        return m
+
+    monkeypatch.setattr(grothendieck, "e_tilde", e_tilde)
+    res = verify.check_matrix_commutators(SMALL, gen_range=1)
+    assert res.failures == [
+        "matrix commutator: a=1, b=0, t=0, [[],[]]->[[],[]]",
+        "matrix commutator: a=1, b=0, t=0, [[],[1]]->[[],[1]]",
+    ]
+
+
+def test_above_diagonal_ignores_equal_sizes_and_counts_below(monkeypatch):
+    real = grothendieck.a_matrix
+
+    def a_matrix(a, t, n, family=None):
+        m = real(a, t, n, family)
+        if (a, t) == (0, 0):
+            m.entries[(Bipartition.of((1,), ()), Bipartition.of((), (1,)))] = 1
+            m.entries[(Bipartition.of((2,), ()), VAC)] = 1
+        return m
+
+    monkeypatch.setattr(grothendieck, "a_matrix", a_matrix)
+    res = verify.check_above_diagonal(SMALL, gen_range=1)
+    assert res.failures == []
+    assert res.notes == ["below-diagonal extra support entries observed: 1"]
