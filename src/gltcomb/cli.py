@@ -86,8 +86,6 @@ def cmd_caps(args) -> int:
     t = _require_int_t(_parse_t(args.t))
     cap_diag = caps_mod.build_caps(lam, t)
     lines = [cap_diag.base.render(), "caps: " + " ".join(f"({l},{r})" for l, r in cap_diag.caps)]
-    if cap_diag.outside_matched:
-        lines.append("matched to tail crosses: " + " ".join(str(p) for p in sorted(cap_diag.outside_matched)))
     _emit(args, "\n".join(lines), cap_diag.to_json())
     return 0
 

@@ -115,10 +115,6 @@ class WeightDiagram:
             return CIRC
         return sym
 
-    def cross_positions(self, left: int, right: int) -> frozenset[int]:
-        """All cross positions in [left, right] (tails included)."""
-        return frozenset(s for s in range(left, right + 1) if self.symbol(s) == CROSS)
-
     def render(self) -> str:
         """Symbols over position labels, one column per position."""
         left, right = self.window

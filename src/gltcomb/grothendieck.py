@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .caps import D_inverse, D_matrix, mult_D
+from .caps import D_inverse, D_matrix, lift_row
 from .diagrams import ParamT, is_generic
 from .lr import B_matrix
 from .matrices import BipartitionMatrix
@@ -109,11 +109,9 @@ def b_matrix(t: ParamT, n: int) -> BipartitionMatrix:
 
 
 def hom_dim(lam: Bipartition, mu: Bipartition, t: ParamT) -> int:
-    """dim Hom between the tiltings of lam and mu: paired standard multiplicities."""
-    bound = min(lam.size, mu.size)
-    return sum(
-        mult_D(lam, nu, t) * mult_D(mu, nu, t) for nu in bipartitions_up_to(bound)
-    )
+    """dim Hom between the tiltings of lam and mu: paired standard
+    multiplicities, which are 0/1, so the standards the two rows share."""
+    return len(lift_row(lam, t) & lift_row(mu, t))
 
 
 @dataclass(frozen=True)

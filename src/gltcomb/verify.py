@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 from . import caps as caps_mod
 from . import diagrams as diag_mod
@@ -143,14 +145,14 @@ def _random_partition(rng: random.Random, max_size: int) -> Partition:
 def cap_move_pair(rng: random.Random, t: int, max_size: int) -> tuple[Bipartition, Bipartition]:
     """A random bipartition and a partner obtained by swapping the ends of a
     random subset of its caps (cross moves preserve the core)."""
-    mu = Bipartition(_random_partition(rng, max_size), _random_partition(rng, max_size))
-    cap_diag = caps_mod.build_caps(mu, t)
-    left, right = cap_diag.window
+    lam = Bipartition(_random_partition(rng, max_size), _random_partition(rng, max_size))
+    cap_diag = caps_mod.build_caps(lam, t)
+    left, right = cap_diag.base.window
     symbols = {s: cap_diag.base.symbol(s) for s in range(left, right + 1)}
     for l, r in cap_diag.caps:
         if rng.random() < 0.5:
-            symbols[l], symbols[r] = CIRC, CROSS
-    lam = diag_mod.diagram_to_bipartition(symbols, t, FAMILY_DPRIME)
+            symbols[l], symbols[r] = CROSS, CIRC
+    mu = diag_mod.diagram_to_bipartition(symbols, t, FAMILY_DPRIME)
     return lam, mu
 
 
@@ -238,48 +240,59 @@ def check_stability(cfg: VerifyConfig, max_size: int | None = None, t_range: int
     return res
 
 
-def check_window_independence(cfg: VerifyConfig) -> CheckResult:
-    res = CheckResult("caps.window-independence", 0)
-    rng = random.Random(cfg.seed + 1)
+def _weyl_dim(lam: Bipartition, m: int) -> int:
+    """Weyl's dimension of the GL_m irreducible of highest weight
+    (lam.black, 0, ..., 0, -reversed lam.white); needs l(black) + l(white) <= m."""
+    zeros = m - lam.black.length - lam.white.length
+    w = list(lam.black.rows) + [0] * zeros + [-r for r in reversed(lam.white.rows)]
+    num = den = 1
+    for j in range(m):
+        for i in range(j):
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    return num // den
+
+
+@lru_cache(maxsize=None)
+def _dim_polynomial(nu: Bipartition) -> tuple[int, tuple[int, ...]]:
+    """The generic dimension polynomial P_nu, of degree |nu| in the rank, as
+    its values at the ranks L, ..., L + |nu| with L = l(black) + l(white)."""
+    low = nu.black.length + nu.white.length
+    return low, tuple(_weyl_dim(nu, low + k) for k in range(nu.size + 1))
+
+
+def _dim_polynomial_at(nu: Bipartition, m: int) -> Fraction:
+    """P_nu(m) by exact Lagrange interpolation."""
+    low, values = _dim_polynomial(nu)
+    nodes = range(low, low + len(values))
+    total = Fraction(0)
+    for xi, yi in zip(nodes, values):
+        term = Fraction(yi)
+        for xj in nodes:
+            if xj != xi:
+                term *= Fraction(m - xj, xi - xj)
+        total += term
+    return total
+
+
+def check_dimension_oracle(cfg: VerifyConfig) -> CheckResult:
+    """Deligne's functor at t = m >= 0 sends the tilting of lam to V_m(lam),
+    or to 0 when l(black) + l(white) > m, and a standard of nu has dimension
+    P_nu(m); so each row of D(m) must weigh the P_nu to dim V_m(lam).  The
+    dimensions come from Weyl's formula alone, with no cap diagram."""
+    res = CheckResult("caps.dimension-oracle", 0)
     index = bipartitions_up_to(cfg.max_size)
-    for _ in range(min(cfg.random_pairs, 100)):
-        lam = index[rng.randrange(len(index))]
-        mu = index[rng.randrange(len(index))]
-        t = rng.choice(cfg.t_values)
-        res.instances += 1
-        base = caps_mod.mult_D(lam, mu, t)
-        wide = _mult_with_padding(lam, mu, t, rng.randrange(1, 8))
-        if base != wide:
-            res.failures.append(f"window changes mult: {lam}, {mu}, t={t}")
+    for m in cfg.t_values:
+        if m < 0:
+            continue
+        rows = caps_mod.D_matrix(m, cfg.max_size).rows()
+        for lam in index:
+            res.instances += 1
+            got = sum(v * _dim_polynomial_at(nu, m) for nu, v in rows.get(lam, {}).items())
+            want = _weyl_dim(lam, m) if lam.black.length + lam.white.length <= m else 0
+            if got != want:
+                res.failures.append(f"dimension sum {got} != {want}: {lam}, t={m}")
     return res
-
-
-def _mult_with_padding(lam: Bipartition, mu: Bipartition, t: int, pad: int) -> int:
-    if lam == mu:
-        return 1
-    if not diag_mod.same_core(lam, mu, t):
-        return 0
-    dl = build_diagram(lam, t, FAMILY_DPRIME)
-    dm = build_diagram(mu, t, FAMILY_DPRIME)
-    left = min(dl.window[0], dm.window[0]) - pad
-    right = max(dl.window[1], dm.window[1]) + lam.size + mu.size + pad
-    cap_diag = caps_mod.build_caps(mu, t, (left, right))
-    left, right = cap_diag.window
-    x_lam = dl.cross_positions(left, right)
-    x_mu = dm.cross_positions(left, right)
-    moved = x_mu - x_lam
-    try:
-        targets = {cap_diag.cap_end(x) for x in moved}
-    except KeyError:
-        return 0
-    if targets != x_lam - x_mu:
-        return 0
-    for l, r in cap_diag.caps:
-        if l in moved:
-            for l2, r2 in cap_diag.caps:
-                if l < l2 and r2 < r and l2 not in moved:
-                    return 0
-    return 1
 
 
 def _enumerate_matchings(symbols: list[str]) -> list[tuple[tuple[int, int], ...]]:
@@ -746,7 +759,7 @@ ALL_CHECKS = [
     check_example_multiplicity,
     check_unitriangular,
     check_stability,
-    check_window_independence,
+    check_dimension_oracle,
     check_matching_uniqueness,
     check_order_compatibility,
     check_lr_oracle,

@@ -126,31 +126,37 @@ def test_criterion_12_wedge_limit():
 
 
 def test_cap_move_reachability_brute_force():
-    """The 0/1 multiplicity equals brute-force reachability by nesting-closed
-    cap moves (support for criteria 4, 5, 7)."""
-    from gltcomb.caps import build_caps
-    from gltcomb.diagrams import CIRC, CROSS, FAMILY_DPRIME, diagram_to_bipartition
+    """The 0/1 multiplicity equals brute-force reachability by moving the
+    crosses of any subset of lam's caps to their circle ends (support for
+    criteria 4, 5, 7).  The caps are scanned here from the diagram symbols
+    on a wide window, not taken from gltcomb.caps."""
+    from gltcomb.diagrams import CIRC, CROSS, FAMILY_DPRIME, build_diagram, diagram_to_bipartition
     from gltcomb.partitions import bipartitions_up_to
 
+    index = bipartitions_up_to(4)
     for t in (-1, 0, 1):
-        index = bipartitions_up_to(4)
-        for mu in index:
-            cd = build_caps(mu, t, (-8, 8))
-            left, right = cd.window
-            base = {s: cd.base.symbol(s) for s in range(left, right + 1)}
+        for lam in index:
+            d = build_diagram(lam, t, FAMILY_DPRIME)
+            base = {s: d.symbol(s) for s in range(-8, 9)}
+            open_circles, lam_caps = [], []
+            for s in range(-8, 9):
+                if base[s] == CIRC:
+                    open_circles.append(s)
+                elif base[s] == CROSS and open_circles:
+                    lam_caps.append((open_circles.pop(), s))
             reachable = set()
-            for k in range(len(cd.caps) + 1):
-                for sub in combinations(cd.caps, k):
-                    closed = all(
-                        not (l < l2 and r2 < r) or (l2, r2) in sub
-                        for l, r in sub
-                        for l2, r2 in cd.caps
-                    )
-                    if not closed:
-                        continue
+            for k in range(len(lam_caps) + 1):
+                for sub in combinations(lam_caps, k):
                     syms = dict(base)
                     for l, r in sub:
-                        syms[l], syms[r] = CIRC, CROSS
+                        syms[l], syms[r] = CROSS, CIRC
                     reachable.add(diagram_to_bipartition(syms, t, FAMILY_DPRIME))
-            for lam in index:
-                assert mult_D(lam, mu, t) == (1 if lam in reachable else 0)
+            for mu in index:
+                assert mult_D(lam, mu, t) == (1 if mu in reachable else 0)
+
+
+def test_positivity_at_n8():
+    """b(t) and A_a(t) stay nonnegative at N=8; b(0,8) at
+    ([[2,2],[2,2]], [[],[]]) needs the entry D_0([[2,2],[2,2]], [[1],[1]])."""
+    res = verify.check_nonnegative(CFG, gen_range=4, t_values=range(-3, 4), max_size=8)
+    assert res.failures == []

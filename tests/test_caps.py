@@ -1,6 +1,6 @@
 import pytest
 
-from gltcomb.caps import D_inverse, D_matrix, build_caps, mult_D, scan_matching
+from gltcomb.caps import D_inverse, D_matrix, build_caps, lift_row, mult_D, scan_matching
 from gltcomb.diagrams import GENERIC
 from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, bipartitions_up_to
@@ -30,11 +30,17 @@ def test_scan_matching_ignores_arrows():
     assert caps == [(0, 3)]
 
 
-def test_vacuum_caps_are_nested():
-    cd = build_caps(VAC, 0)
-    assert cd.cap_end(-1) == 0
-    for l, r in cd.caps:
-        assert l + r == -1
+def test_lambda_cap_goldens():
+    goldens = {
+        "[[],[]]": (),
+        "[[1],[1]]": ((-1, 0),),
+        "[[2,2],[2,2]]": ((-2, 1), (-1, 0)),
+        "[[2,1],[2,1]]": ((-2, -1), (0, 1)),
+    }
+    for lam, caps in goldens.items():
+        assert build_caps(Bipartition.parse(lam), 0).caps == caps
+    row = {"[[2,2],[2,2]]", "[[2,1],[2,1]]", "[[1],[1]]", "[[],[]]"}
+    assert lift_row(Bipartition.parse("[[2,2],[2,2]]"), 0) == {Bipartition.parse(s) for s in row}
 
 
 def test_caps_require_integer_t():
@@ -78,6 +84,12 @@ def test_nested_move_needs_inner_cap():
     assert mult_D(lam, ONE, 0) == 1
     both = Bipartition.of((2, 2), (2, 2))
     assert mult_D(both, VAC, 0) == 1
+
+
+def test_nested_caps_lift_to_both_ends():
+    # [[2,2],[2,2]] at t=0 has two nested caps; moving only the inner one
+    # gives [[2,1],[2,1]], moving only the outer one gives [[1],[1]]
+    assert mult_D(Bipartition.of((2, 2), (2, 2)), ONE, 0) == 1
 
 
 def test_moves_increase_size():

@@ -32,7 +32,7 @@ def test_diagram_json(capsys):
 
 
 def test_caps_output(capsys):
-    code, out, _ = run(capsys, "caps", "--t", "0", "[[],[]]")
+    code, out, _ = run(capsys, "caps", "--t", "0", "[[1],[1]]")
     assert code == 0
     assert "caps:" in out
     assert "(-1,0)" in out

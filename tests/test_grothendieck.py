@@ -88,6 +88,21 @@ def test_b_matrix_generic():
     assert b_matrix(GENERIC, 3) == B_matrix(3)
 
 
+def test_hom_dim_matches_paired_multiplicities():
+    """hom_dim against its defining sum over the standards nu."""
+    from gltcomb.caps import mult_D
+
+    index = bipartitions_up_to(4)
+    for t in list(range(-3, 4)) + [GENERIC]:
+        for lam in index:
+            for mu in index:
+                want = sum(
+                    mult_D(lam, nu, t) * mult_D(mu, nu, t)
+                    for nu in bipartitions_up_to(min(lam.size, mu.size))
+                )
+                assert hom_dim(lam, mu, t) == want
+
+
 def test_hom_dim_examples():
     assert hom_dim(ONE, ONE, 0) == 2
     assert hom_dim(VAC, ONE, 0) == 1

@@ -4,6 +4,7 @@ each rewritten check must still report with its usual message."""
 import pytest
 
 from gltcomb import caps, grothendieck, verify
+from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition
 
 VAC = Bipartition.of((), ())
@@ -118,3 +119,24 @@ def test_above_diagonal_ignores_equal_sizes_and_counts_below(monkeypatch):
     res = verify.check_above_diagonal(SMALL, gen_range=1)
     assert res.failures == []
     assert res.notes == ["below-diagonal extra support entries observed: 1"]
+
+
+def test_dimension_oracle_at_n8():
+    # without D_0([[2,2],[2,2]], [[1],[1]]) the sum at [[2,2],[2,2]], t=0 is 1, not 0
+    cfg = verify.VerifyConfig(t_values=tuple(range(0, 6)), max_size=8)
+    res = verify.check_dimension_oracle(cfg)
+    assert (res.instances, res.failures) == (6 * 434, [])
+
+
+def test_dimension_oracle_reports_dropped_entry(monkeypatch):
+    real = caps.D_matrix
+
+    def D_matrix(t, n):
+        m = BipartitionMatrix(n, dict(real(t, n).entries))
+        if t == 0:
+            del m.entries[(ONE, VAC)]
+        return m
+
+    monkeypatch.setattr(caps, "D_matrix", D_matrix)
+    res = verify.check_dimension_oracle(SMALL)
+    assert res.failures == ["dimension sum -1 != 0: [[1],[1]], t=0"]
