@@ -67,8 +67,11 @@ def _emit(args, text_output: str, json_output) -> None:
     else:
         payload = text_output
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         print(payload)
 

@@ -34,44 +34,44 @@ def is_generic(t: ParamT) -> bool:
     raise ValueError(f"parameter t must be an integer or {GENERIC!r}, got {t!r}")
 
 
-def _in_c_track(black: Partition, t: int, s: int) -> bool:
-    """Membership of s in {black_i + t - i : i >= 1} for integer t."""
-    if s <= t - black.length - 1:
-        return True
-    return any(black.rows[i - 1] + t - i == s for i in range(1, black.length + 1))
-
-
-def _in_d_set(white: Partition, s: int) -> bool:
-    """Membership of s in {white_i - i : i >= 1}."""
-    if s <= -white.length - 1:
-        return True
-    return any(white.rows[i - 1] - i == s for i in range(1, white.length + 1))
-
-
-def _in_dprime_set(white: Partition, s: int) -> bool:
-    """Membership of s in Z minus {i - white_i - 1 : i >= 1}."""
-    if s >= white.length:
-        return False
-    return all(i - white.row(i) - 1 != s for i in range(1, white.length + 1))
+def _symbol_run(lam: Bipartition, t: ParamT, family: str, left: int, right: int) -> str:
+    """The symbols at positions left..right, read off the C set, the D set
+    (d-family) or the complement of D' (dprime-family), each built once."""
+    if family not in (FAMILY_D, FAMILY_DPRIME):
+        raise ValueError(f"unknown diagram family {family!r}")
+    black, white = lam.black.rows, lam.white.rows
+    # For generic t the C-track lives off the integer lattice.
+    if is_generic(t):
+        c_below, c_set = left, frozenset()  # no position of the run is in C
+    else:
+        # C holds every s <= t - len(black) - 1, plus black_i + t - i.
+        c_below = t - len(black)
+        c_set = {r + t - i for i, r in enumerate(black, 1)}
+    if family == FAMILY_D:
+        # D holds every s <= -len(white) - 1, plus white_i - i.
+        d_below = -len(white)
+        d_set = {r - i for i, r in enumerate(white, 1)}
+    else:
+        # D' holds every s < len(white) except i - white_i - 1.
+        d_below = len(white)
+        not_d = {i - r - 1 for i, r in enumerate(white, 1)}
+    out = []
+    for s in range(left, right + 1):
+        in_c = s < c_below or s in c_set
+        if family == FAMILY_D:
+            in_d = s < d_below or s in d_set
+        else:
+            in_d = s < d_below and s not in not_d
+        if in_c:
+            out.append(CROSS if in_d else GT)
+        else:
+            out.append(LT if in_d else CIRC)
+    return "".join(out)
 
 
 def symbol_at(lam: Bipartition, t: ParamT, family: str, s: int) -> str:
     """The symbol of the weight diagram of lam at integer position s."""
-    if family not in (FAMILY_D, FAMILY_DPRIME):
-        raise ValueError(f"unknown diagram family {family!r}")
-    # For generic t the C-track lives off the integer lattice.
-    in_c = False if is_generic(t) else _in_c_track(lam.black, t, s)
-    if family == FAMILY_D:
-        in_d = _in_d_set(lam.white, s)
-    else:
-        in_d = _in_dprime_set(lam.white, s)
-    if in_c and in_d:
-        return CROSS
-    if in_c:
-        return GT
-    if in_d:
-        return LT
-    return CIRC
+    return _symbol_run(lam, t, family, s, s)
 
 
 def stable_window(lam: Bipartition, t: int, family: str) -> tuple[int, int]:
@@ -140,8 +140,7 @@ def build_diagram(lam: Bipartition, t: ParamT, family: str) -> WeightDiagram:
         window = _generic_window(lam, family)
     else:
         window = stable_window(lam, t, family)
-    left, right = window
-    symbols = "".join(symbol_at(lam, t, family, s) for s in range(left, right + 1))
+    symbols = _symbol_run(lam, t, family, *window)
     return WeightDiagram(lam, t, family, window, symbols)
 
 

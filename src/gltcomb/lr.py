@@ -159,14 +159,34 @@ def B_entry(lam: Bipartition, mu: Bipartition) -> int:
     )
 
 
+def _lr_terms(mu: Partition, kappa: Partition) -> list[tuple[Partition, int]]:
+    """The nonzero terms (lam, c) of s_mu * s_kappa."""
+    terms = ((lam, lr_coeff(lam, mu, kappa)) for lam in partitions_of(mu.size + kappa.size))
+    return [(lam, c) for lam, c in terms if c]
+
+
 @lru_cache(maxsize=None)
 def B_matrix(n: int) -> BipartitionMatrix:
-    """Tilting multiplicities of the formal-parameter mixed tensor objects."""
-    m = BipartitionMatrix(n)
+    """Tilting multiplicities of the formal-parameter mixed tensor objects.
+
+    Generated from each column mu: for every kappa with |mu| + 2|kappa| <= n,
+    the terms of s_{mu black} * s_kappa and s_{mu white} * s_kappa pair up
+    into the entries B((alpha, beta), mu), which is B_entry summed term by term."""
     index = bipartitions_up_to(n)
-    for lam in index:
-        for mu in index:
-            v = B_entry(lam, mu)
-            if v:
-                m.entries[(lam, mu)] = v
+    entries: dict[tuple[Bipartition, Bipartition], int] = {}
+    for mu in index:
+        for d in range((n - mu.size) // 2 + 1):
+            for kappa in partitions_of(d):
+                white_terms = _lr_terms(mu.white, kappa)
+                for alpha, c in _lr_terms(mu.black, kappa):
+                    for beta, c2 in white_terms:
+                        key = (Bipartition(alpha, beta), mu)
+                        entries[key] = entries.get(key, 0) + c * c2
+    # Insert in (row, column) index order, as the all-pairs loop did, so the
+    # products built from B, and the first negative entry they report, keep
+    # their order.
+    pos = {bp: i for i, bp in enumerate(index)}
+    m = BipartitionMatrix(n)
+    for key in sorted(entries, key=lambda rc: (pos[rc[0]], pos[rc[1]])):
+        m.entries[key] = entries[key]
     return m

@@ -24,6 +24,12 @@ class Partition:
                 raise ValueError(f"partition rows must be positive, got {r}")
             if i > 0 and self.rows[i - 1] < r:
                 raise ValueError(f"partition rows must be weakly decreasing: {self.rows}")
+        # The value the dataclass hash would compute on every call, so set
+        # and dict orders are unchanged.
+        object.__setattr__(self, "_hash", hash((self.rows,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(*rows: int) -> "Partition":
@@ -151,6 +157,12 @@ class Bipartition:
 
     black: Partition = EMPTY
     white: Partition = EMPTY
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.black, self.white)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(black, white) -> "Bipartition":

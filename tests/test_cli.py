@@ -180,6 +180,16 @@ def test_out_file(tmp_path, capsys):
     assert payload["val"] == 1
 
 
+def test_out_to_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "diagram", "--out", str(target), "[[1],[1]]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_parser_is_built_once():
     assert cli._parser() is cli._parser()
 

@@ -136,3 +136,50 @@ def test_same_core_matches_window_comparison(family):
 def test_core_key_rejects_generic_t():
     with pytest.raises(ValueError):
         core_key(Bipartition.of((), ()), GENERIC)
+
+
+# The per-position membership predicates that build_diagram and symbol_at
+# replaced with one pass; kept as the reference for the symbol rule.
+def ref_in_c_track(black, t, s):
+    """Membership of s in {black_i + t - i : i >= 1} for integer t."""
+    if s <= t - black.length - 1:
+        return True
+    return any(black.rows[i - 1] + t - i == s for i in range(1, black.length + 1))
+
+
+def ref_in_d_set(white, s):
+    """Membership of s in {white_i - i : i >= 1}."""
+    if s <= -white.length - 1:
+        return True
+    return any(white.rows[i - 1] - i == s for i in range(1, white.length + 1))
+
+
+def ref_in_dprime_set(white, s):
+    """Membership of s in Z minus {i - white_i - 1 : i >= 1}."""
+    if s >= white.length:
+        return False
+    return all(i - white.row(i) - 1 != s for i in range(1, white.length + 1))
+
+
+def ref_symbol(lam, t, family, s):
+    in_c = False if t == GENERIC else ref_in_c_track(lam.black, t, s)
+    in_d = ref_in_d_set(lam.white, s) if family == FAMILY_D else ref_in_dprime_set(lam.white, s)
+    return {(True, True): CROSS, (True, False): ">", (False, True): "<", (False, False): CIRC}[
+        (in_c, in_d)
+    ]
+
+
+@pytest.mark.parametrize("family", [FAMILY_D, FAMILY_DPRIME])
+@pytest.mark.parametrize("t", list(range(-6, 7)) + [GENERIC])
+def test_one_pass_symbols_match_per_position_reference(family, t):
+    for lam in bipartitions_up_to(6):
+        d = build_diagram(lam, t, family)
+        left, right = d.window
+        assert d.symbols == "".join(ref_symbol(lam, t, family, s) for s in range(left, right + 1))
+        for s in range(left - 3, right + 4):
+            assert symbol_at(lam, t, family, s) == ref_symbol(lam, t, family, s)
+
+
+def test_symbol_at_rejects_unknown_family():
+    with pytest.raises(ValueError):
+        symbol_at(Bipartition.of((), ()), 0, "q", 0)

@@ -1,7 +1,8 @@
 import pytest
 
 from gltcomb.lr import B_entry, B_matrix, lr_coeff, schur_polynomial, schur_product_oracle
-from gltcomb.partitions import Bipartition, Partition, partitions_up_to
+from gltcomb.matrices import BipartitionMatrix
+from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to, partitions_up_to
 
 P = Partition.of
 
@@ -87,3 +88,30 @@ def test_b_matrix_unitriangular():
     for (lam, mu), v in b.entries.items():
         assert v > 0
         assert lam.size - mu.size == (lam.black.size - mu.black.size) * 2
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_b_matrix_matches_b_entry_over_all_pairs(n):
+    # the all-pairs loop B_matrix replaced, kept as the reference
+    index = bipartitions_up_to(n)
+    reference = BipartitionMatrix(n)
+    for lam in index:
+        for mu in index:
+            v = B_entry(lam, mu)
+            if v:
+                reference.entries[(lam, mu)] = v
+    generated = B_matrix(n)
+    assert generated.entries == reference.entries
+    assert generated.to_json() == reference.to_json()
+
+
+def test_b_matrix_multiplies_coefficients_above_one():
+    # LR coefficients above 1 first meet on both sides at n = 12
+    n = 12
+    mu = Bipartition.of((2, 1), (2, 1))
+    lam = Bipartition.of((3, 2, 1), (3, 2, 1))
+    b = B_matrix(n)
+    assert b.get(lam, mu) == B_entry(lam, mu) == 2 * 2 + 1 + 1
+    column = {row: v for (row, col), v in b.entries.items() if col == mu}
+    reference = {row: B_entry(row, mu) for row in bipartitions_up_to(n)}
+    assert column == {row: v for row, v in reference.items() if v}

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -160,3 +163,33 @@ def test_box_moves_match_reference():
         for a in (0.5, 1.0, "0", None):
             assert nu.add_box(a) is None
             assert nu.remove_box(a) is None
+
+
+def test_hash_is_the_dataclass_hash():
+    # set and dict iteration orders, and so every output, depend on this value
+    for bp in bipartitions_up_to(5):
+        for p in (bp.black, bp.white):
+            assert hash(p) == hash((p.rows,))
+        assert hash(bp) == hash((bp.black, bp.white))
+
+
+def test_equal_values_hash_equal_however_built():
+    p = Partition((3, 1))
+    assert hash(Partition.of(3, 1, 0)) == hash(Partition.parse("[3, 1]")) == hash(p)
+    bp = Bipartition(p, Partition((1,)))
+    built = [Bipartition.of((3, 1), (1, 0)), Bipartition.parse("[[3,1],[1]]"), bp]
+    assert all(b == bp and hash(b) == hash(bp) for b in built)
+
+
+def test_copies_keep_equality_and_hash():
+    bp = Bipartition.of((2, 1), (1,))
+    for copy_of in (pickle.loads(pickle.dumps(bp)), copy.deepcopy(bp), copy.copy(bp)):
+        assert copy_of == bp and hash(copy_of) == hash(bp)
+        assert copy_of.black == bp.black and hash(copy_of.black) == hash(bp.black)
+
+
+def test_repr_unchanged():
+    assert repr(Partition((2, 1))) == "Partition(rows=(2, 1))"
+    assert repr(Bipartition.of((1,), ())) == (
+        "Bipartition(black=Partition(rows=(1,)), white=Partition(rows=()))"
+    )
