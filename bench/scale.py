@@ -9,8 +9,9 @@ Weyl-dimension oracle (verify's caps.dimension-oracle).  The ladder stops at
 the first N that fails a check or takes longer than 60 s.
 
 Each rung reports per-layer cold seconds, the nonzeros of every layer and
-the peak RSS.  The result is stored in OUT under --label, next to the runs
-already there, so one file can hold a before and an after run:
+the peak RSS.  A run records the commit of the checkout it measured.  The
+result is stored in OUT under --label, next to the runs already there, so
+one file can hold a before and an after run:
 
     python3 bench/scale.py --out BENCH_scale_<k>.json --label after
     python3 bench/scale.py --out BENCH_scale_<k>.json --label before --src <other checkout>/src
@@ -103,6 +104,22 @@ def run_rung(src: str, n: int) -> dict:
     return result
 
 
+def commit_of(src: str):
+    """The short commit of the checkout holding src, with "-dirty" when src
+    differs from it, or None when src is not in a git checkout."""
+    def git(*args):
+        try:
+            proc = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    commit = git("rev-parse", "--short", "HEAD")
+    if commit and git("status", "--porcelain", "."):
+        commit += "-dirty"
+    return commit
+
+
 def ladder(src: str) -> dict:
     rungs = []
     n = START_N
@@ -115,6 +132,7 @@ def ladder(src: str) -> dict:
         n += 1
     passed = [r["N"] for r in rungs if r["status"] == "passed"]
     return {
+        "commit": commit_of(src),
         "budget_s": BUDGET_S,
         "largest_passing_N": max(passed) if passed else None,
         "host": {

@@ -110,6 +110,23 @@ def D_matrix(t: ParamT, n: int) -> BipartitionMatrix:
 
 
 @lru_cache(maxsize=None)
+def _D_columns(t: ParamT, n: int) -> dict[Bipartition, list[Bipartition]]:
+    """For each mu, the lam != mu with D(t, n)(lam, mu) = 1, by ascending
+    size.  The diagonal, all 1, is left out: most columns hold nothing else."""
+    columns: dict[Bipartition, list[Bipartition]] = {}
+    for lam, mu in D_matrix(t, n).entries:
+        if lam != mu:
+            columns.setdefault(mu, []).append(lam)
+    return columns
+
+
+@lru_cache(maxsize=None)
+def _D_inverse_rows(t: ParamT, n: int) -> dict[Bipartition, dict[Bipartition, int]]:
+    """The rows of the inverse of D(t, n), as the inversion builds them."""
+    return unitriangular_inverse(D_matrix(t, n))
+
+
+@lru_cache(maxsize=None)
 def D_inverse(t: ParamT, n: int) -> BipartitionMatrix:
     """Exact integer inverse of the truncated multiplicity matrix."""
-    return unitriangular_inverse(D_matrix(t, n))
+    return BipartitionMatrix.from_rows(n, _D_inverse_rows(t, n))

@@ -5,9 +5,10 @@ eigenvalue labels of the content operator."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from .caps import D_inverse, D_matrix, lift_row
+from .caps import D_inverse, _D_columns, _D_inverse_rows, lift_row
 from .diagrams import ParamT, is_generic
 from .lr import B_matrix
 from .matrices import BipartitionMatrix
@@ -38,22 +39,37 @@ def _black_on(t: ParamT, family: Optional[str]) -> bool:
     raise ValueError("generic t needs family 'integer' or 'shifted'")
 
 
+@lru_cache(maxsize=None)
+def _box_moves(n: int) -> tuple[dict[int, list], dict[int, list]]:
+    """The one-box moves inside the truncation n, keyed by content and
+    independent of t: the black additions (lam, lam + black box c) with
+    |lam| < n, and the white removals (lam, lam - white box c).  Both ends are
+    the index's own instances."""
+    index = bipartitions_up_to(n)
+    own = {bp: bp for bp in index}
+    black: dict[int, list] = {}
+    white: dict[int, list] = {}
+    for lam in index:
+        if lam.size < n:
+            for c in lam.black.addable_contents():
+                black.setdefault(c, []).append((lam, own[Bipartition(lam.black.add_box(c), lam.white)]))
+        for c in lam.white.removable_contents():
+            white.setdefault(c, []).append((lam, own[Bipartition(lam.black, lam.white.remove_box(c))]))
+    return black, white
+
+
 def a_tilde(a: int, t: ParamT, n: int, family: Optional[str] = None) -> BipartitionMatrix:
     """Translation matrix on the standard basis: (lam, mu) entry 1 iff mu is
     lam plus a black content-a box or lam minus a white content -(a+t) box."""
-    m = BipartitionMatrix(n)
     white_c = _white_shift(a, t, family)
     black_on = _black_on(t, family)
-    for lam in bipartitions_up_to(n):
-        if black_on:
-            black = lam.black.add_box(a)
-            if black is not None and lam.size + 1 <= n:
-                m.entries[(lam, Bipartition(black, lam.white))] = 1
-        if white_c is not None:
-            white = lam.white.remove_box(white_c)
-            if white is not None:
-                m.entries[(lam, Bipartition(lam.black, white))] = 1
-    return m
+    black, white = _box_moves(n)
+    moves = []
+    if black_on:
+        moves += black.get(a, [])
+    if white_c is not None:
+        moves += white.get(white_c, [])
+    return BipartitionMatrix(n, dict.fromkeys(moves, 1))
 
 
 def e_tilde(a: int, t: ParamT, n: int, family: Optional[str] = None) -> BipartitionMatrix:
@@ -79,19 +95,34 @@ class InternalInconsistencyError(RuntimeError):
 
 
 def a_matrix(a: int, t: ParamT, n: int, family: Optional[str] = None) -> BipartitionMatrix:
-    """Translation matrix on the tilting basis, conjugated through the lift
-    multiplicities; computed at truncation n+1 and restricted."""
+    """Translation matrix on the tilting basis, D * a_tilde * D^-1 computed at
+    truncation n+1 and restricted to n.  Only the nonzeros (mu, nu) of a_tilde
+    are visited: every lam of size at most n with D(lam, mu) = 1 gains
+    D^-1's row of nu, cut to size at most n."""
     if is_generic(t):
         return a_tilde(a, t, n, family)
-    d = D_matrix(t, n + 1)
-    d_inv = D_inverse(t, n + 1)
-    product = d.mul(a_tilde(a, t, n + 1)).mul(d_inv).restrict(n)
-    for (lam, mu), v in product.entries.items():
+    columns = _D_columns(t, n + 1)
+    inverse_rows = _D_inverse_rows(t, n + 1)
+    m = BipartitionMatrix(n)
+    entries = m.entries
+    for mu, nu in a_tilde(a, t, n + 1, family).entries:
+        inv_row = [(kappa, w) for kappa, w in inverse_rows[nu].items() if kappa.size <= n]
+        for lam in (mu, *columns.get(mu, ())):
+            if lam.size > n:
+                break  # mu, then its column by ascending size
+            for kappa, w in inv_row:
+                key = (lam, kappa)
+                acc = entries.get(key, 0) + w
+                if acc:
+                    entries[key] = acc
+                else:
+                    del entries[key]
+    for (lam, mu), v in entries.items():
         if v < 0:
             raise InternalInconsistencyError(
                 f"negative tilting multiplicity {v} at ({lam}, {mu}), a={a}, t={t}"
             )
-    return product
+    return m
 
 
 def b_matrix(t: ParamT, n: int) -> BipartitionMatrix:

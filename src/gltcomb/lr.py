@@ -7,7 +7,7 @@ independent check.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .matrices import BipartitionMatrix
 from .partitions import Bipartition, Partition, bipartitions_up_to, partitions_of
@@ -173,12 +173,14 @@ def B_matrix(n: int) -> BipartitionMatrix:
     the terms of s_{mu black} * s_kappa and s_{mu white} * s_kappa pair up
     into the entries B((alpha, beta), mu), which is B_entry summed term by term."""
     index = bipartitions_up_to(n)
+    # Columns sharing a black or a white part expand the same products.
+    lr_terms = cache(_lr_terms)
     entries: dict[tuple[Bipartition, Bipartition], int] = {}
     for mu in index:
         for d in range((n - mu.size) // 2 + 1):
             for kappa in partitions_of(d):
-                white_terms = _lr_terms(mu.white, kappa)
-                for alpha, c in _lr_terms(mu.black, kappa):
+                white_terms = lr_terms(mu.white, kappa)
+                for alpha, c in lr_terms(mu.black, kappa):
                     for beta, c2 in white_terms:
                         key = (Bipartition(alpha, beta), mu)
                         entries[key] = entries.get(key, 0) + c * c2

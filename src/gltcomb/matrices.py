@@ -37,6 +37,10 @@ class BipartitionMatrix:
             m.entries[(bp, bp)] = 1
         return m
 
+    @staticmethod
+    def from_rows(n: int, rows: dict[Bipartition, dict[Bipartition, int]]) -> "BipartitionMatrix":
+        return BipartitionMatrix(n, {(r, c): v for r, row in rows.items() for c, v in row.items()})
+
     def rows(self) -> dict[Bipartition, dict[Bipartition, int]]:
         out: dict[Bipartition, dict[Bipartition, int]] = {}
         for (r, c), v in self.entries.items():
@@ -96,8 +100,9 @@ class BipartitionMatrix:
         return out
 
 
-def unitriangular_inverse(m: BipartitionMatrix) -> BipartitionMatrix:
-    """Exact integer inverse of a size-lower-triangular matrix with unit diagonal."""
+def unitriangular_inverse(m: BipartitionMatrix) -> dict[Bipartition, dict[Bipartition, int]]:
+    """The rows of the exact integer inverse of a size-lower-triangular matrix
+    with unit diagonal; `BipartitionMatrix.from_rows` makes them a matrix."""
     if not m.is_unitriangular():
         raise ValueError("matrix is not unitriangular in the size order")
     order = sorted(m.index(), key=sort_key)
@@ -115,8 +120,4 @@ def unitriangular_inverse(m: BipartitionMatrix) -> BipartitionMatrix:
                 else:
                     row.pop(mu, None)
         inv_rows[lam] = row
-    inv = BipartitionMatrix(m.n)
-    for lam, row in inv_rows.items():
-        for mu, v in row.items():
-            inv.entries[(lam, mu)] = v
-    return inv
+    return inv_rows

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import caps as caps_mod
@@ -261,17 +260,19 @@ def _dim_polynomial(nu: Bipartition) -> tuple[int, tuple[int, ...]]:
     return low, tuple(_weyl_dim(nu, low + k) for k in range(nu.size + 1))
 
 
-def _dim_polynomial_at(nu: Bipartition, m: int) -> Fraction:
-    """P_nu(m) by exact Lagrange interpolation."""
+@lru_cache(maxsize=None)
+def _dim_polynomial_at(nu: Bipartition, m: int) -> int:
+    """P_nu(m) by Newton's forward differences at L: the sum of
+    Delta^k P_nu(L) * binomial(m - L, k), all in integers."""
     low, values = _dim_polynomial(nu)
-    nodes = range(low, low + len(values))
-    total = Fraction(0)
-    for xi, yi in zip(nodes, values):
-        term = Fraction(yi)
-        for xj in nodes:
-            if xj != xi:
-                term *= Fraction(m - xj, xi - xj)
-        total += term
+    diffs = list(values)
+    x = m - low
+    total, binom = 0, 1
+    for k in range(len(values)):
+        total += diffs[0] * binom
+        # binomial(x, k + 1) = binomial(x, k) * (x - k) / (k + 1), exactly
+        binom = binom * (x - k) // (k + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return total
 
 

@@ -1,11 +1,15 @@
 import pytest
 
+from gltcomb import grothendieck
 from gltcomb.caps import D_inverse, D_matrix
 from gltcomb.diagrams import GENERIC
 from gltcomb.grothendieck import (
     EigenLabel,
     INTEGER_FAMILY,
     SHIFTED_FAMILY,
+    InternalInconsistencyError,
+    _black_on,
+    _white_shift,
     a_matrix,
     a_tilde,
     b_matrix,
@@ -15,6 +19,7 @@ from gltcomb.grothendieck import (
     x_eigenvalue,
 )
 from gltcomb.lr import B_matrix
+from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, bipartitions_up_to
 
 VAC = Bipartition.of((), ())
@@ -51,14 +56,62 @@ def test_generic_family_required():
         a_tilde(0, GENERIC, 2)
 
 
+def _a_tilde_reference(a, t, n, family=None):
+    """a_tilde by one pass over the index, moving one box of each lam."""
+    m = BipartitionMatrix(n)
+    white_c = _white_shift(a, t, family)
+    black_on = _black_on(t, family)
+    for lam in bipartitions_up_to(n):
+        if black_on:
+            black = lam.black.add_box(a)
+            if black is not None and lam.size + 1 <= n:
+                m.entries[(lam, Bipartition(black, lam.white))] = 1
+        if white_c is not None:
+            white = lam.white.remove_box(white_c)
+            if white is not None:
+                m.entries[(lam, Bipartition(lam.black, white))] = 1
+    return m
+
+
+def test_a_tilde_matches_per_lam_loop():
+    params = [(t, None) for t in range(-4, 5)]
+    params += [(GENERIC, INTEGER_FAMILY), (GENERIC, SHIFTED_FAMILY)]
+    for n in range(7):
+        for t, family in params:
+            for a in range(-6, 7):
+                assert a_tilde(a, t, n, family) == _a_tilde_reference(a, t, n, family)
+
+
 def test_a_matrix_conjugation():
-    for t in (-1, 0, 2):
-        for a in (-1, 0, 1):
-            got = a_matrix(a, t, 3)
-            d = D_matrix(t, 4)
-            product = d.mul(a_tilde(a, t, 4)).mul(D_inverse(t, 4)).restrict(3)
-            assert got == product
-            assert all(v >= 0 for v in got.entries.values())
+    for n in range(7):
+        for t in range(-4, 5):
+            d = D_matrix(t, n + 1)
+            d_inv = D_inverse(t, n + 1)
+            for a in range(-5, 6):
+                got = a_matrix(a, t, n)
+                product = d.mul(a_tilde(a, t, n + 1)).mul(d_inv).restrict(n)
+                assert got == product
+                assert all(v >= 0 for v in got.entries.values())
+
+
+def test_a_matrix_reports_negative_entry(monkeypatch):
+    """A D^-1 row made negative on purpose must raise, naming an entry that
+    the reference product shows negative."""
+    a, t, n = 0, 0, 3
+    rows = {lam: dict(row) for lam, row in grothendieck._D_inverse_rows(t, n + 1).items()}
+    rows[ONE][ONE] = -7
+    monkeypatch.setattr(grothendieck, "_D_inverse_rows", lambda t_, n_: rows)
+    product = D_matrix(t, n + 1).mul(a_tilde(a, t, n + 1)).mul(
+        BipartitionMatrix.from_rows(n + 1, rows)).restrict(n)
+    negative = {f"{v} at ({lam}, {mu})" for (lam, mu), v in product.entries.items() if v < 0}
+    assert negative
+    with pytest.raises(InternalInconsistencyError) as exc:
+        a_matrix(a, t, n)
+    message = str(exc.value)
+    assert message.startswith("negative tilting multiplicity ")
+    assert message.endswith(f", a={a}, t={t}")
+    named = message[len("negative tilting multiplicity "):-len(f", a={a}, t={t}")]
+    assert named in negative
 
 
 def test_a_matrix_generic_equals_a_tilde():

@@ -1,11 +1,13 @@
 """The sparse verify checks: default-config counts, and injected defects that
 each rewritten check must still report with its usual message."""
 
+from fractions import Fraction
+
 import pytest
 
 from gltcomb import caps, grothendieck, verify
 from gltcomb.matrices import BipartitionMatrix
-from gltcomb.partitions import Bipartition
+from gltcomb.partitions import Bipartition, bipartitions_up_to
 
 VAC = Bipartition.of((), ())
 ONE = Bipartition.of((1,), (1,))
@@ -140,3 +142,29 @@ def test_dimension_oracle_reports_dropped_entry(monkeypatch):
     monkeypatch.setattr(caps, "D_matrix", D_matrix)
     res = verify.check_dimension_oracle(SMALL)
     assert res.failures == ["dimension sum -1 != 0: [[1],[1]], t=0"]
+
+
+def _lagrange_at(low, values, m):
+    """The polynomial through (low + k, values[k]) at m, by exact Fraction
+    Lagrange interpolation."""
+    nodes = range(low, low + len(values))
+    total = Fraction(0)
+    for xi, yi in zip(nodes, values):
+        num, den = yi, 1
+        for xj in nodes:
+            if xj != xi:
+                num *= m - xj
+                den *= xi - xj
+        total += Fraction(num, den)
+    return total
+
+
+def test_dimension_polynomial_matches_lagrange():
+    """P_nu(m) against the Lagrange interpolant of Weyl dimensions at the
+    ranks L, ..., L + |nu| with L = l(black) + l(white)."""
+    for nu in bipartitions_up_to(8):
+        low = nu.black.length + nu.white.length
+        values = [verify._weyl_dim(nu, low + k) for k in range(nu.size + 1)]
+        for m in range(9):
+            got = verify._dim_polynomial_at(nu, m)
+            assert type(got) is int and got == _lagrange_at(low, values, m), (nu, m)
