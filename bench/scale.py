@@ -120,6 +120,30 @@ def commit_of(src: str):
     return commit
 
 
+def host() -> dict:
+    return {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """--src, --out and --label, shared by the bench scripts."""
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the gltcomb package to measure")
+    parser.add_argument("--out", help="JSON file to add this run to (required for a run)")
+    parser.add_argument("--label", default="after", help="key of this run in OUT")
+
+
+def store_run(path: str, benchmark: str, label: str, result: dict) -> None:
+    """Add result to the runs in the JSON file at path under label."""
+    runs = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            runs = json.load(fh).get("runs", {})
+    runs[label] = result
+    with open(path, "w") as fh:
+        json.dump({"benchmark": benchmark, "runs": runs}, fh, indent=2)
+        fh.write("\n")
+
+
 def ladder(src: str) -> dict:
     rungs = []
     n = START_N
@@ -135,21 +159,14 @@ def ladder(src: str) -> dict:
         "commit": commit_of(src),
         "budget_s": BUDGET_S,
         "largest_passing_N": max(passed) if passed else None,
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "host": host(),
         "rungs": rungs,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the gltcomb package to measure")
-    parser.add_argument("--out", help="JSON file to add this run to (required for a ladder)")
-    parser.add_argument("--label", default="after", help="key of this run in OUT")
+    add_arguments(parser)
     parser.add_argument("--rung", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
@@ -160,14 +177,7 @@ def main(argv=None) -> int:
     if args.out is None:
         parser.error("--out is required")
     result = ladder(os.path.abspath(args.src))
-    runs = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            runs = json.load(fh).get("runs", {})
-    runs[args.label] = result
-    with open(args.out, "w") as fh:
-        json.dump({"benchmark": "scale ladder (bench/scale.py)", "runs": runs}, fh, indent=2)
-        fh.write("\n")
+    store_run(args.out, "scale ladder (bench/scale.py)", args.label, result)
     print(f"{args.label}: largest passing N = {result['largest_passing_N']}")
     return 0
 

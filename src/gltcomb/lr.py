@@ -1,8 +1,8 @@
 """Littlewood-Richardson coefficients and the tilting-in-tensor matrix B.
 
 lr_coeff enumerates LR skew tableaux directly; schur_product_oracle expands
-products of Schur polynomials over exact integers and serves as an
-independent check.
+products of Schur polynomials by Brauer's formula over exact integers and
+serves as an independent check: it uses no LR tableau.
 """
 
 from __future__ import annotations
@@ -109,42 +109,33 @@ def schur_polynomial(nu: Partition, nvars: int) -> dict[Monomial, int]:
     return poly
 
 
-def _poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(m1, m2))
-            acc = out.get(key, 0) + c1 * c2
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
-
-
 def schur_product_oracle(mu: Partition, kappa: Partition, nvars: int) -> dict[Partition, int]:
-    """Expand s_mu * s_kappa into Schur polynomials by iterated
-    leading-monomial subtraction in nvars variables."""
+    """Expand s_mu * s_kappa into Schur polynomials in nvars variables by
+    Brauer's formula a_{mu+rho} s_kappa = sum_lam c^lam_{mu kappa} a_{lam+rho}.
+
+    Each monomial x^w of s_kappa contributes a_{mu+rho+w}: zero when two
+    exponents coincide, else the sign of the sorting permutation times
+    a_{lam+rho} with lam the sorted exponents minus rho."""
     # c^lam_{mu kappa} != 0 forces len(lam) <= len(mu) + len(kappa), so that
-    # many variables keep every s_lam of the product independent and nonzero.
+    # many variables keep every a_{lam+rho} of the product independent and nonzero.
     if nvars < mu.length + kappa.length:
         raise ValueError(f"need at least {mu.length + kappa.length} variables, got {nvars}")
-    product = _poly_mul(schur_polynomial(mu, nvars), schur_polynomial(kappa, nvars))
+    rho = range(nvars - 1, -1, -1)
+    shifted = [mu.row(i + 1) + r for i, r in enumerate(rho)]
     result: dict[Partition, int] = {}
-    while product:
-        lead = max(product)
-        coeff = product[lead]
-        shape = Partition.of(*lead)
-        if tuple(shape.rows) + (0,) * (nvars - shape.length) != lead:
-            raise AssertionError(f"leading monomial {lead} is not a partition")
-        result[shape] = coeff
-        for mono, c in schur_polynomial(shape, nvars).items():
-            acc = product.get(mono, 0) - coeff * c
-            if acc:
-                product[mono] = acc
-            else:
-                product.pop(mono, None)
-    return result
+    for w, coeff in schur_polynomial(kappa, nvars).items():
+        alpha = [s + e for s, e in zip(shifted, w)]
+        if len(set(alpha)) < nvars:
+            continue
+        inversions = sum(x < y for i, x in enumerate(alpha) for y in alpha[i + 1 :])
+        lam = Partition.of(*(v - r for v, r in zip(sorted(alpha, reverse=True), rho)))
+        acc = result.get(lam, 0) + (-coeff if inversions % 2 else coeff)
+        if acc:
+            result[lam] = acc
+        else:
+            del result[lam]
+    # Largest shape first, whatever the order of the monomials of s_kappa.
+    return {lam: result[lam] for lam in sorted(result, reverse=True)}
 
 
 def B_entry(lam: Bipartition, mu: Bipartition) -> int:

@@ -27,6 +27,7 @@ class Partition:
         # The value the dataclass hash would compute on every call, so set
         # and dict orders are unchanged.
         object.__setattr__(self, "_hash", hash((self.rows,)))
+        object.__setattr__(self, "size", sum(self.rows))
 
     def __hash__(self) -> int:
         return self._hash
@@ -36,10 +37,6 @@ class Partition:
         """Build a partition, dropping trailing zeros."""
         rows = tuple(r for r in rows if r != 0)
         return Partition(rows)
-
-    @property
-    def size(self) -> int:
-        return sum(self.rows)
 
     @property
     def length(self) -> int:
@@ -160,6 +157,7 @@ class Bipartition:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.black, self.white)))
+        object.__setattr__(self, "size", self.black.size + self.white.size)
 
     def __hash__(self) -> int:
         return self._hash
@@ -167,10 +165,6 @@ class Bipartition:
     @staticmethod
     def of(black, white) -> "Bipartition":
         return Bipartition(Partition.of(*black), Partition.of(*white))
-
-    @property
-    def size(self) -> int:
-        return self.black.size + self.white.size
 
     def conjugate(self) -> "Bipartition":
         """(black, transpose of white); an involution."""

@@ -1,8 +1,10 @@
+from functools import cache
+
 import pytest
 
 from gltcomb.lr import B_entry, B_matrix, lr_coeff, schur_polynomial, schur_product_oracle
 from gltcomb.matrices import BipartitionMatrix
-from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to, partitions_up_to
+from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to, partitions_of, partitions_up_to
 
 P = Partition.of
 
@@ -115,3 +117,72 @@ def test_b_matrix_multiplies_coefficients_above_one():
     column = {row: v for (row, col), v in b.entries.items() if col == mu}
     reference = {row: B_entry(row, mu) for row in bipartitions_up_to(n)}
     assert column == {row: v for row, v in reference.items() if v}
+
+
+@cache
+def _kostka(shape, alpha):
+    """The coefficient of x^alpha in s_shape, for a partition alpha; it does
+    not depend on variables beyond the parts of alpha."""
+    return schur_polynomial(shape, len(alpha)).get(alpha, 0)
+
+
+def _compositions_below(alpha, total):
+    """The compositions beta <= alpha, entry by entry, with sum total."""
+    if not alpha:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(alpha[0], total) + 1):
+        for rest in _compositions_below(alpha[1:], total - first):
+            yield (first,) + rest
+
+
+def _content(beta):
+    """A composition sorted into a partition: the coefficient of x^beta in a
+    symmetric polynomial is that of x^_content(beta)."""
+    return tuple(sorted((b for b in beta if b), reverse=True))
+
+
+@cache
+def _product_coefficient(mu, kappa, alpha):
+    """The coefficient of x^alpha in s_mu * s_kappa for a partition alpha:
+    the sum of K(mu, beta) K(kappa, alpha - beta) over beta <= alpha."""
+    return sum(_kostka(mu, _content(beta)) * _kostka(kappa, _content(a - b for a, b in zip(alpha, beta)))
+               for beta in _compositions_below(alpha, mu.size))
+
+
+def _leading_monomial_oracle(mu, kappa, nvars):
+    """The expansion schur_product_oracle replaced: in nvars variables,
+    subtract coeff * s_lead for the leading monomial x^lead of s_mu * s_kappa
+    until nothing is left.
+
+    Every polynomial here is symmetric, so the leading monomial is always a
+    partition and the loop needs coefficients at partition exponents with at
+    most nvars parts only; the product's are memoised, which keeps three
+    variable counts per pair cheap."""
+    dominant = [p.rows for p in partitions_of(mu.size + kappa.size) if p.length <= nvars]
+    product = {a: c for a in dominant if (c := _product_coefficient(mu, kappa, a))}
+    result = {}
+    while product:
+        lead = max(product)
+        coeff = product[lead]
+        shape = Partition(lead)
+        result[shape] = coeff
+        for alpha in dominant:
+            acc = product.get(alpha, 0) - coeff * _kostka(shape, alpha)
+            if acc:
+                product[alpha] = acc
+            else:
+                product.pop(alpha, None)
+    return result
+
+
+def test_brauer_oracle_matches_leading_monomial_expansion():
+    for mu in partitions_up_to(8):
+        for kappa in partitions_up_to(8 - mu.size):
+            low = mu.length + kappa.length
+            for nvars in range(low, low + 3):
+                got = schur_product_oracle(mu, kappa, nvars)
+                want = _leading_monomial_oracle(mu, kappa, nvars)
+                # same terms, largest shape first
+                assert list(got.items()) == list(want.items()), (mu, kappa, nvars)

@@ -193,3 +193,15 @@ def test_repr_unchanged():
     assert repr(Bipartition.of((1,), ())) == (
         "Bipartition(black=Partition(rows=(1,)), white=Partition(rows=()))"
     )
+
+
+def test_size_is_stored_and_survives_copies():
+    for bp in bipartitions_up_to(5):
+        assert bp.black.size == sum(bp.black.rows) and bp.white.size == sum(bp.white.rows)
+        assert bp.size == bp.black.size + bp.white.size
+    bp = Bipartition.of((2, 1), (1,))
+    for copy_of in (pickle.loads(pickle.dumps(bp)), copy.deepcopy(bp), copy.copy(bp)):
+        assert (copy_of.size, copy_of.black.size, copy_of.white.size) == (4, 3, 1)
+    # size is no dataclass field: equality, ordering and JSON ignore it
+    assert Partition((2, 1)).to_json() == [2, 1] and bp.to_json() == [[2, 1], [1]]
+    assert Partition((2,)) < Partition((2, 1)) < Partition((3,))

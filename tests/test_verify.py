@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from gltcomb import caps, grothendieck, verify
+from gltcomb import caps, fock, grothendieck, verify
 from gltcomb.matrices import BipartitionMatrix
-from gltcomb.partitions import Bipartition, bipartitions_up_to
+from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to
 
 VAC = Bipartition.of((), ())
 ONE = Bipartition.of((1,), (1,))
@@ -19,6 +19,9 @@ SMALL = verify.VerifyConfig(t_values=(-1, 0, 1), max_size=3)
     (verify.check_matrix_commutators, 6174, []),
     (verify.check_eigen_support, 10108, []),
     (verify.check_order_compatibility, 285, []),
+    (verify.check_commutators, 32076, []),
+    (verify.check_lr_oracle, 1110, []),
+    (verify.check_stability, 10336, []),
 ])
 def test_default_config_counts(check, instances, notes):
     res = check(verify.VerifyConfig())
@@ -168,3 +171,105 @@ def test_dimension_polynomial_matches_lagrange():
         for m in range(9):
             got = verify._dim_polynomial_at(nu, m)
             assert type(got) is int and got == _lagrange_at(low, values, m), (nu, m)
+
+
+def _commutators_reference(cfg, gen_range=None, max_size=None):
+    """The loop check_commutators replaced: commutator_defect per instance."""
+    res = verify.CheckResult("fock.commutators", 0)
+    rng = gen_range if gen_range is not None else min(cfg.max_size, 4)
+    bound = max_size if max_size is not None else cfg.max_size
+    for mode in verify._modes(cfg):
+        for key in verify._mode_basis(mode, bound):
+            vec = {key: 1}
+            for a in range(-rng, rng + 1):
+                for b in range(-rng, rng + 1):
+                    res.instances += 1
+                    if fock.commutator_defect(a, b, mode, vec):
+                        res.failures.append(f"mode {mode.kind}, key {key}, a={a}, b={b}")
+    return res
+
+
+ACCEPTANCE = verify.VerifyConfig(t_values=tuple(range(-3, 4)), max_size=4, seed=0)
+
+
+@pytest.mark.parametrize("cfg, kwargs, instances", [
+    (verify.VerifyConfig(), {}, 32076),
+    (ACCEPTANCE, {"gen_range": 4, "max_size": 5}, 58158),
+])
+def test_commutators_match_commutator_defect(cfg, kwargs, instances):
+    got = verify.check_commutators(cfg, **kwargs)
+    assert got == _commutators_reference(cfg, **kwargs)
+    assert (got.instances, got.failures) == (instances, [])
+
+
+@pytest.mark.parametrize("gen, a, key, stray", [
+    ("f", 0, Partition.of(1), Partition.of(3)),
+    ("e", -1, Bipartition.of((1,), (1,)), Bipartition.of((2,), ())),
+])
+def test_commutators_report_stray_term_like_commutator_defect(monkeypatch, gen, a, key, stray):
+    # a stray term in one image, extended linearly, as both sides apply
+    # generators to single keys and to sums of keys
+    real = fock.apply_generator
+
+    def apply_generator(g, b, mode, vec):
+        out = real(g, b, mode, vec)
+        if (g, b) == (gen, a) and key in vec:
+            fock._add_into(out, stray, vec[key])
+        return out
+
+    monkeypatch.setattr(fock, "apply_generator", apply_generator)
+    got = verify.check_commutators(SMALL, gen_range=2)
+    want = _commutators_reference(SMALL, gen_range=2)
+    assert got.failures and got == want
+
+
+def _stability_reference(cfg, max_size=None, t_range=10):
+    """The index x index x t loop check_stability replaced."""
+    res = verify.CheckResult("caps.stability", 0)
+    index = bipartitions_up_to(max_size if max_size is not None else cfg.max_size)
+    for lam in index:
+        for mu in index:
+            for t in range(-t_range, t_range + 1):
+                if abs(t) <= lam.size + mu.size:
+                    continue
+                res.instances += 1
+                if caps.mult_D(lam, mu, t) != (1 if lam == mu else 0):
+                    res.failures.append(f"stability fails: {lam}, {mu}, t={t}")
+    return res
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"max_size": 3, "t_range": 8}, {"max_size": 5, "t_range": 12}])
+def test_stability_matches_triple_loop(kwargs):
+    got = verify.check_stability(verify.VerifyConfig(), **kwargs)
+    assert got == _stability_reference(verify.VerifyConfig(), **kwargs)
+    assert not got.failures
+
+
+def test_stability_reports_row_defects_like_triple_loop(monkeypatch):
+    # drop lam from its own row at one t, and add mu before and after lam in
+    # index order at others, and one outside the index, which no loop reaches
+    real = caps.lift_row
+    lam = Bipartition.of((1,), ())
+
+    def lift_row(row_lam, t):
+        row = set(real(row_lam, t))
+        if row_lam == lam and t == -6:
+            row.discard(lam)
+        if row_lam == lam and t in (5, 7):
+            row |= {VAC, ONE, Bipartition.of((2, 1), (1,)), Bipartition.of((5,), ())}
+        if row_lam == ONE and t == 9:
+            row.add(Bipartition.of((), (1,)))
+        return frozenset(row)
+
+    monkeypatch.setattr(caps, "lift_row", lift_row)
+    got = verify.check_stability(verify.VerifyConfig())
+    assert got == _stability_reference(verify.VerifyConfig())
+    assert got.failures == [
+        "stability fails: [[1],[]], [[],[]], t=5",
+        "stability fails: [[1],[]], [[],[]], t=7",
+        "stability fails: [[1],[]], [[1],[]], t=-6",
+        "stability fails: [[1],[]], [[1],[1]], t=5",
+        "stability fails: [[1],[]], [[1],[1]], t=7",
+        "stability fails: [[1],[]], [[2,1],[1]], t=7",
+        "stability fails: [[1],[1]], [[],[1]], t=9",
+    ]
