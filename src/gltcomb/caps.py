@@ -16,7 +16,7 @@ from .diagrams import (
     diagram_to_bipartition,
     is_generic,
 )
-from .matrices import BipartitionMatrix, unitriangular_inverse
+from .matrices import BipartitionMatrix
 from .partitions import Bipartition, bipartitions_up_to
 
 
@@ -121,12 +121,26 @@ def _D_columns(t: ParamT, n: int) -> dict[Bipartition, list[Bipartition]]:
 
 
 @lru_cache(maxsize=None)
-def _D_inverse_rows(t: ParamT, n: int) -> dict[Bipartition, dict[Bipartition, int]]:
-    """The rows of the inverse of D(t, n), as the inversion builds them."""
-    return unitriangular_inverse(D_matrix(t, n))
+def inverse_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
+    """lam's row of D(t)^-1, the same in every truncation n >= |lam|: e_lam
+    minus the inverse rows of the other nu in lift_row(lam, t), which are all
+    smaller than lam.  Shared by every caller; do not mutate it."""
+    row = {lam: 1}
+    for nu in lift_row(lam, t):
+        if nu == lam:
+            continue
+        if nu.size >= lam.size:
+            raise ValueError(f"D({t}) is not unitriangular in the size order at ({lam}, {nu})")
+        for mu, w in inverse_row(nu, t).items():
+            acc = row.get(mu, 0) - w
+            if acc:
+                row[mu] = acc
+            else:
+                del row[mu]
+    return row
 
 
 @lru_cache(maxsize=None)
 def D_inverse(t: ParamT, n: int) -> BipartitionMatrix:
     """Exact integer inverse of the truncated multiplicity matrix."""
-    return BipartitionMatrix.from_rows(n, _D_inverse_rows(t, n))
+    return BipartitionMatrix.from_rows(n, {lam: inverse_row(lam, t) for lam in bipartitions_up_to(n)})

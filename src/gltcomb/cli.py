@@ -140,11 +140,7 @@ def cmd_matrix(args) -> int:
 def cmd_decompose(args) -> int:
     lam = _parse_bipartition(args.bipartition)
     t = _parse_t(args.t)
-    b = groth_mod.b_matrix(t, lam.size)
-    row = sorted(
-        ((mu, v) for (l, mu), v in b.entries.items() if l == lam),
-        key=lambda mv: (mv[0].size, str(mv[0])),
-    )
+    row = sorted(groth_mod.b_row(lam, t).items(), key=lambda mv: (mv[0].size, str(mv[0])))
     text = "\n".join(f"{mu}: {v}" for mu, v in row)
     _emit(args, text, {"t": t, "lam": lam.to_json(), "tilting_multiplicities": [
         {"mu": mu.to_json(), "val": v} for mu, v in row

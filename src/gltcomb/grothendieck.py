@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .caps import D_inverse, _D_columns, _D_inverse_rows, lift_row
+from .caps import _D_columns, inverse_row, lift_row
 from .diagrams import ParamT, is_generic
 from .lr import B_matrix
 from .matrices import BipartitionMatrix
@@ -102,11 +102,10 @@ def a_matrix(a: int, t: ParamT, n: int, family: Optional[str] = None) -> Biparti
     if is_generic(t):
         return a_tilde(a, t, n, family)
     columns = _D_columns(t, n + 1)
-    inverse_rows = _D_inverse_rows(t, n + 1)
     m = BipartitionMatrix(n)
     entries = m.entries
     for mu, nu in a_tilde(a, t, n + 1, family).entries:
-        inv_row = [(kappa, w) for kappa, w in inverse_rows[nu].items() if kappa.size <= n]
+        inv_row = [(kappa, w) for kappa, w in inverse_row(nu, t).items() if kappa.size <= n]
         for lam in (mu, *columns.get(mu, ())):
             if lam.size > n:
                 break  # mu, then its column by ascending size
@@ -125,18 +124,35 @@ def a_matrix(a: int, t: ParamT, n: int, family: Optional[str] = None) -> Biparti
     return m
 
 
-def b_matrix(t: ParamT, n: int) -> BipartitionMatrix:
-    """Multiplicities of indecomposable tiltings in the mixed Schur-functor
-    tensor objects: B times the inverse of the lift-multiplicity matrix."""
-    b = B_matrix(n)
-    if not is_generic(t):
-        b = b.mul(D_inverse(t, n))
-    for (lam, mu), v in b.entries.items():
+def b_row(
+    lam: Bipartition, t: ParamT, B_lam: Optional[dict[Bipartition, int]] = None
+) -> dict[Bipartition, int]:
+    """lam's row of b(t) = B D(t)^-1, the same in every truncation n >= |lam|:
+    B's row of lam (B_lam, read from B(|lam|) when not given) times the rows
+    of D(t)^-1, checked nonnegative."""
+    if B_lam is None:
+        B_lam = B_matrix(lam.size).rows()[lam]
+    row: dict[Bipartition, int] = {}
+    for nu, v in B_lam.items():
+        for mu, w in inverse_row(nu, t).items():
+            acc = row.get(mu, 0) + v * w
+            if acc:
+                row[mu] = acc
+            else:
+                del row[mu]
+    for mu, v in row.items():
         if v < 0:
             raise InternalInconsistencyError(
                 f"negative tilting multiplicity {v} at ({lam}, {mu}), t={t}"
             )
-    return b
+    return row
+
+
+def b_matrix(t: ParamT, n: int) -> BipartitionMatrix:
+    """Multiplicities of indecomposable tiltings in the mixed Schur-functor
+    tensor objects: B times the inverse of the lift-multiplicity matrix."""
+    rows = {lam: b_row(lam, t, B_lam) for lam, B_lam in B_matrix(n).rows().items()}
+    return BipartitionMatrix.from_rows(n, rows)
 
 
 def hom_dim(lam: Bipartition, mu: Bipartition, t: ParamT) -> int:

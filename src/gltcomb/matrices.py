@@ -99,25 +99,3 @@ class BipartitionMatrix:
             out = {"t": t, **out}
         return out
 
-
-def unitriangular_inverse(m: BipartitionMatrix) -> dict[Bipartition, dict[Bipartition, int]]:
-    """The rows of the exact integer inverse of a size-lower-triangular matrix
-    with unit diagonal; `BipartitionMatrix.from_rows` makes them a matrix."""
-    if not m.is_unitriangular():
-        raise ValueError("matrix is not unitriangular in the size order")
-    order = sorted(m.index(), key=sort_key)
-    m_rows = m.rows()
-    inv_rows: dict[Bipartition, dict[Bipartition, int]] = {}
-    for lam in order:
-        row = {lam: 1}
-        for nu, v in m_rows.get(lam, {}).items():
-            if nu == lam:
-                continue
-            for mu, w in inv_rows[nu].items():
-                acc = row.get(mu, 0) - v * w
-                if acc:
-                    row[mu] = acc
-                else:
-                    row.pop(mu, None)
-        inv_rows[lam] = row
-    return inv_rows

@@ -779,12 +779,11 @@ def check_f_on_standard(cfg: VerifyConfig) -> CheckResult:
     rng = min(cfg.max_size, 3)
     for t in cfg.t_values:
         for a in range(-rng, rng + 1):
-            tilde = groth_mod.a_tilde(a, t, cfg.max_size + 1)
+            tilde_rows = groth_mod.a_tilde(a, t, cfg.max_size + 1).rows()
             for lam in bipartitions_up_to(cfg.max_size):
                 res.instances += 1
                 sub, quot = groth_mod.f_on_standard(lam, a, t)
-                row = {mu for (l, mu) in tilde.entries if l == lam}
-                if {x for x in (sub, quot) if x is not None} != row:
+                if {x for x in (sub, quot) if x is not None} != tilde_rows.get(lam, {}).keys():
                     res.failures.append(f"standard filtration mismatch: {lam}, a={a}, t={t}")
     return res
 

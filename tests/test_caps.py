@@ -1,6 +1,7 @@
 import pytest
 
-from gltcomb.caps import D_inverse, D_matrix, build_caps, lift_row, mult_D, scan_matching
+from gltcomb import caps
+from gltcomb.caps import D_inverse, D_matrix, build_caps, inverse_row, lift_row, mult_D, scan_matching
 from gltcomb.diagrams import GENERIC
 from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, bipartitions_up_to
@@ -107,6 +108,15 @@ def test_d_matrix_unitriangular_and_inverse():
         inv = D_inverse(t, 4)
         assert d.mul(inv) == BipartitionMatrix.identity(4)
         assert inv.mul(d) == BipartitionMatrix.identity(4)
+
+
+def test_inverse_row_rejects_equal_size_off_diagonal(monkeypatch):
+    """A row of D with an off-diagonal entry of its own size is not
+    unitriangular in the size order: inverse_row raises instead of recursing."""
+    lam, nu = Bipartition.of((), (1,)), Bipartition.of((1,), ())
+    monkeypatch.setattr(caps, "lift_row", lambda lam_, t_: frozenset({lam_, nu}))
+    with pytest.raises(ValueError):
+        inverse_row.__wrapped__(lam, 0)  # past the cache, so the patched row is read
 
 
 def all_pairs_d_matrix(t, n):

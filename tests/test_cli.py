@@ -5,8 +5,11 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gltcomb import cli
+from gltcomb import caps, cli, grothendieck
 from gltcomb.cli import main
+from gltcomb.lr import B_matrix
+from gltcomb.matrices import BipartitionMatrix
+from gltcomb.partitions import Bipartition, bipartitions_up_to
 
 
 def run(capsys, *argv):
@@ -76,6 +79,32 @@ def test_decompose(capsys):
     assert "[[1],[1]]: 1" in out
     assert "[[2,1],[2,1]]: 1" in out
     assert "[[],[]]" not in out
+
+
+def test_decompose_reports_negative_entry_of_its_row(capsys, monkeypatch):
+    """A D^-1 row made negative on purpose must make decompose exit 1, naming
+    an entry of lam's row that the reference product B D^-1 shows negative."""
+    lam, t = Bipartition.of((2,), (2,)), 0
+    one = Bipartition.of((1,), (1,))
+
+    def defective(nu, t_):
+        row = caps.inverse_row(nu, t_)
+        return {**row, one: -7} if nu == one else row
+
+    monkeypatch.setattr(grothendieck, "inverse_row", defective)
+    n = lam.size
+    product = B_matrix(n).mul(
+        BipartitionMatrix.from_rows(n, {nu: defective(nu, t) for nu in bipartitions_up_to(n)}))
+    negative = {f"{v} at ({lam}, {mu})" for (row, mu), v in product.entries.items()
+                if row == lam and v < 0}
+    assert negative
+    code, out, err = run(capsys, "decompose", "--t", str(t), str(lam))
+    assert code == 1
+    assert out == ""
+    prefix, suffix = "internal inconsistency: negative tilting multiplicity ", f", t={t}"
+    message = err.strip()
+    assert message.startswith(prefix) and message.endswith(suffix)
+    assert message[len(prefix):-len(suffix)] in negative
 
 
 def test_homdim(capsys):

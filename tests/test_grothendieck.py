@@ -1,7 +1,7 @@
 import pytest
 
 from gltcomb import grothendieck
-from gltcomb.caps import D_inverse, D_matrix
+from gltcomb.caps import D_inverse, D_matrix, inverse_row
 from gltcomb.diagrams import GENERIC
 from gltcomb.grothendieck import (
     EigenLabel,
@@ -13,6 +13,7 @@ from gltcomb.grothendieck import (
     a_matrix,
     a_tilde,
     b_matrix,
+    b_row,
     e_tilde,
     f_on_standard,
     hom_dim,
@@ -98,9 +99,9 @@ def test_a_matrix_reports_negative_entry(monkeypatch):
     """A D^-1 row made negative on purpose must raise, naming an entry that
     the reference product shows negative."""
     a, t, n = 0, 0, 3
-    rows = {lam: dict(row) for lam, row in grothendieck._D_inverse_rows(t, n + 1).items()}
+    rows = {lam: dict(inverse_row(lam, t)) for lam in bipartitions_up_to(n + 1)}
     rows[ONE][ONE] = -7
-    monkeypatch.setattr(grothendieck, "_D_inverse_rows", lambda t_, n_: rows)
+    monkeypatch.setattr(grothendieck, "inverse_row", lambda lam_, t_: rows[lam_])
     product = D_matrix(t, n + 1).mul(a_tilde(a, t, n + 1)).mul(
         BipartitionMatrix.from_rows(n + 1, rows)).restrict(n)
     negative = {f"{v} at ({lam}, {mu})" for (lam, mu), v in product.entries.items() if v < 0}
@@ -139,6 +140,22 @@ def test_b_matrix_roundtrip():
 
 def test_b_matrix_generic():
     assert b_matrix(GENERIC, 3) == B_matrix(3)
+
+
+def test_rows_do_not_depend_on_the_truncation():
+    """inverse_row and b_row are the rows of D^-1 and b in every truncation
+    that holds lam, and D^-1 is the inverse of D there."""
+    top = 7
+    for t in [*range(-4, 5), GENERIC]:
+        inverse = {lam: inverse_row(lam, t) for lam in bipartitions_up_to(top)}
+        b = {lam: b_row(lam, t) for lam in bipartitions_up_to(top)}
+        for n in range(top + 1):
+            d_inv = D_inverse(t, n)
+            assert D_matrix(t, n).mul(d_inv) == BipartitionMatrix.identity(n)
+            inv_rows, b_rows = d_inv.rows(), b_matrix(t, n).rows()
+            for lam in bipartitions_up_to(n):
+                assert inv_rows[lam] == inverse[lam]
+                assert b_rows[lam] == b[lam]
 
 
 def test_hom_dim_matches_paired_multiplicities():

@@ -1,6 +1,4 @@
-import pytest
-
-from gltcomb.matrices import BipartitionMatrix, unitriangular_inverse
+from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition
 
 
@@ -8,5 +6,3 @@ def test_equal_size_off_diagonal_is_not_unitriangular():
     m = BipartitionMatrix.identity(1)
     m.set(Bipartition.of((), (1,)), Bipartition.of((1,), ()), 5)
     assert not m.is_unitriangular()
-    with pytest.raises(ValueError):
-        unitriangular_inverse(m)
