@@ -77,39 +77,56 @@ def _check_key(mode: Mode, key: BasisKey) -> None:
         raise TypeError(f"basis key {key!r} does not belong to mode {mode.kind!r}")
 
 
-def _apply_basis(gen: str, a: int, mode: Mode, key: BasisKey, out: Vector, coeff: int) -> None:
-    if mode.kind == "plain":
-        nu = key.add_box(a) if gen == "f" else key.remove_box(a)
-        if nu is not None:
-            _add_into(out, nu, coeff)
-    elif mode.kind == "twisted":
-        nu = key.remove_box(-a) if gen == "f" else key.add_box(-a)
-        if nu is not None:
-            _add_into(out, nu, coeff)
-    elif mode.kind == "shifted":
-        c = -(a + mode.t)
-        nu = key.remove_box(c) if gen == "f" else key.add_box(c)
-        if nu is not None:
-            _add_into(out, nu, coeff)
-    elif mode.kind == "tensor":
-        black = key.black.add_box(a) if gen == "f" else key.black.remove_box(a)
-        if black is not None:
-            _add_into(out, Bipartition(black, key.white), coeff)
-        c = -(a + mode.t)
-        white = key.white.remove_box(c) if gen == "f" else key.white.add_box(c)
-        if white is not None:
-            _add_into(out, Bipartition(key.black, white), coeff)
-    elif mode.kind == "taut":
+def images(gen: str, mode: Mode, key: BasisKey) -> dict[int, Vector]:
+    """The nonzero images {a: gen_a(key)} of a basis key under every f_a (gen
+    "f") or every e_a (gen "e"), read off the box tables.  f_a adds a box of
+    content a (plain), or removes one of content -a (twisted) or -(a + t)
+    (shifted); on the tensor module it does both, black then white, and e_a
+    undoes each move.  On u_i, f_i gives u_{i+1}; on a wedge, f_a turns an
+    entry a into a + 1."""
+    f = gen == "f"
+    kind = mode.kind
+    if kind == "plain":
+        return {c: {nu: 1} for c, nu in key.box_table[0 if f else 1].items()}
+    if kind == "twisted":
+        return {-c: {nu: 1} for c, nu in key.box_table[1 if f else 0].items()}
+    if kind == "shifted":
+        return {-(c + mode.t): {nu: 1} for c, nu in key.box_table[1 if f else 0].items()}
+    if kind == "tensor":
+        black, white = key.black, key.white
+        out = {c: {Bipartition(nu, white): 1} for c, nu in black.box_table[0 if f else 1].items()}
+        for c, nu in white.box_table[1 if f else 0].items():
+            out.setdefault(-(c + mode.t), {})[Bipartition(black, nu)] = 1
+        return out
+    if kind == "taut":
+        return {key: {key + 1: 1}} if f else {key - 1: {key - 1: 1}}
+    # wedge: in-place replacement keeps strict decrease, so no sign arises
+    step = 1 if f else -1
+    return {
+        v if f else v - 1: {tuple(v + step if u == v else u for u in key): 1}
+        for v in key
+        if v + step not in key
+    }
+
+
+def _non_integer_image(gen: str, a, mode: Mode, key: BasisKey) -> Vector:
+    """gen_a(key) for a non-integer a.  No box has a non-integer content, so
+    the box modes give 0 once they form the content they would read (which
+    rejects an a that cannot be negated or shifted); the taut and wedge rules
+    compare a with the key's entries."""
+    kind = mode.kind
+    if kind in ("twisted", "shifted", "tensor"):
+        -(a if kind == "twisted" else a + mode.t)
+    elif kind == "taut":
         if gen == "f" and key == a:
-            _add_into(out, a + 1, coeff)
-        elif gen == "e" and key == a + 1:
-            _add_into(out, a, coeff)
-    elif mode.kind == "wedge":
+            return {a + 1: 1}
+        if gen == "e" and key == a + 1:
+            return {a: 1}
+    elif kind == "wedge":
         src, dst = (a, a + 1) if gen == "f" else (a + 1, a)
         if src in key and dst not in key:
-            # in-place replacement keeps strict decrease, so no sign arises
-            new = tuple(dst if v == src else v for v in key)
-            _add_into(out, new, coeff)
+            return {tuple(dst if v == src else v for v in key): 1}
+    return {}
 
 
 def apply_generator(gen: str, a: int, mode: Mode, vec: Vector) -> Vector:
@@ -119,7 +136,12 @@ def apply_generator(gen: str, a: int, mode: Mode, vec: Vector) -> Vector:
     out: Vector = {}
     for key, coeff in vec.items():
         _check_key(mode, key)
-        _apply_basis(gen, a, mode, key, out, coeff)
+        if isinstance(a, int):
+            image = images(gen, mode, key).get(a, {})
+        else:
+            image = _non_integer_image(gen, a, mode, key)
+        for new, c in image.items():
+            _add_into(out, new, coeff * c)
     return out
 
 
@@ -164,29 +186,24 @@ def commutator_defect(a: int, b: int, mode: Mode, vec: Vector) -> Vector:
 
 def omega(nu: Partition) -> dict[int, int]:
     """The fundamental-weight expansion of the weight of v_nu."""
-    out = {}
-    for a in nu.addable_contents():
-        out[a] = 1
-    for a in nu.removable_contents():
-        out[a] = -1
-    return out
+    adds, removes = nu.box_table
+    return {**dict.fromkeys(adds, 1), **dict.fromkeys(removes, -1)}
+
+
+def tensor_weight(lam: Bipartition, t: int) -> dict[int, int]:
+    """The h_a eigenvalues on the tensor basis vector lam, zeros left out:
+    a -> n_weight(lam.black, a) - n_weight(lam.white, -(a + t))."""
+    weight = omega(lam.black)
+    for c, v in omega(lam.white).items():
+        _add_into(weight, -(c + t), -v)
+    return weight
 
 
 def dominance_leq(lam: Bipartition, mu: Bipartition, t: int) -> bool:
     """Whether lam <= mu: the signed corner-weight identity holds and the
     black partial sums of lam dominate those of mu."""
-    support = set()
-    for nu in (lam.black, mu.black):
-        support.update(nu.addable_contents())
-        support.update(nu.removable_contents())
-    for nu in (lam.white, mu.white):
-        support.update(-(a + t) for a in nu.addable_contents())
-        support.update(-(a + t) for a in nu.removable_contents())
-    for a in support:
-        left = n_weight(lam.black, a) - n_weight(lam.white, -(a + t))
-        right = n_weight(mu.black, a) - n_weight(mu.white, -(a + t))
-        if left != right:
-            return False
+    if tensor_weight(lam, t) != tensor_weight(mu, t):
+        return False
     rows = max(lam.black.length, mu.black.length)
     acc_l = acc_m = 0
     for i in range(1, rows + 1):

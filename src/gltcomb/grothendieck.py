@@ -51,10 +51,10 @@ def _box_moves(n: int) -> tuple[dict[int, list], dict[int, list]]:
     white: dict[int, list] = {}
     for lam in index:
         if lam.size < n:
-            for c in lam.black.addable_contents():
-                black.setdefault(c, []).append((lam, own[Bipartition(lam.black.add_box(c), lam.white)]))
-        for c in lam.white.removable_contents():
-            white.setdefault(c, []).append((lam, own[Bipartition(lam.black, lam.white.remove_box(c))]))
+            for c, nu in lam.black.box_table[0].items():
+                black.setdefault(c, []).append((lam, own[Bipartition(nu, lam.white)]))
+        for c, nu in lam.white.box_table[1].items():
+            white.setdefault(c, []).append((lam, own[Bipartition(lam.black, nu)]))
     return black, white
 
 
@@ -131,7 +131,7 @@ def b_row(
     B's row of lam (B_lam, read from B(|lam|) when not given) times the rows
     of D(t)^-1, checked nonnegative."""
     if B_lam is None:
-        B_lam = B_matrix(lam.size).rows()[lam]
+        B_lam = _B_rows(lam.size)[lam]
     row: dict[Bipartition, int] = {}
     for nu, v in B_lam.items():
         for mu, w in inverse_row(nu, t).items():
@@ -151,8 +151,14 @@ def b_row(
 def b_matrix(t: ParamT, n: int) -> BipartitionMatrix:
     """Multiplicities of indecomposable tiltings in the mixed Schur-functor
     tensor objects: B times the inverse of the lift-multiplicity matrix."""
-    rows = {lam: b_row(lam, t, B_lam) for lam, B_lam in B_matrix(n).rows().items()}
+    rows = {lam: b_row(lam, t, B_lam) for lam, B_lam in _B_rows(n).items()}
     return BipartitionMatrix.from_rows(n, rows)
+
+
+@lru_cache(maxsize=None)
+def _B_rows(n: int) -> dict[Bipartition, dict[Bipartition, int]]:
+    """B(n) grouped by rows, once per n; shared, so do not mutate it."""
+    return B_matrix(n).rows()
 
 
 def hom_dim(lam: Bipartition, mu: Bipartition, t: ParamT) -> int:
@@ -178,13 +184,13 @@ class EigenLabel:
 def x_eigenvalue(lam: Bipartition, mu: Bipartition, t: ParamT) -> Optional[EigenLabel]:
     """Eigenvalue label of the content operator on the connection lam -> mu,
     absent when mu is not a single black addition or white removal."""
-    if mu.white == lam.white and mu.black.size == lam.black.size + 1 and mu.black.contains(lam.black):
-        for c in lam.black.addable_contents():
-            if lam.black.add_box(c) == mu.black:
+    if mu.white == lam.white and mu.black.size == lam.black.size + 1:
+        for c, nu in lam.black.box_table[0].items():
+            if nu == mu.black:
                 return EigenLabel("int", c)
-    if mu.black == lam.black and mu.white.size == lam.white.size - 1 and lam.white.contains(mu.white):
-        for c in lam.white.removable_contents():
-            if lam.white.remove_box(c) == mu.white:
+    if mu.black == lam.black and mu.white.size == lam.white.size - 1:
+        for c, nu in lam.white.box_table[1].items():
+            if nu == mu.white:
                 return EigenLabel("shifted", -c)
     return None
 

@@ -8,7 +8,7 @@ weakly decreasing rows); the content of the cell in row i, column j
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 
@@ -58,53 +58,32 @@ class Partition:
     def contains(self, other: "Partition") -> bool:
         return all(self.row(i + 1) >= r for i, r in enumerate(other.rows))
 
+    @cached_property
+    def box_table(self) -> tuple[dict[int, "Partition"], dict[int, "Partition"]]:
+        """({a: self + box_a}, {a: self - box_a}), each in decreasing content
+        a: the one implementation of the box rule.  Built on first use, kept
+        for the life of the instance and left out of its pickled state;
+        shared by every caller, so do not mutate it."""
+        return _box_table(self.rows)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "box_table"}
+
     def addable_contents(self) -> list[int]:
         """Contents of cells that may be added, in decreasing order."""
-        out = []
-        for i in range(1, self.length + 2):
-            if self.row(i - 1) > self.row(i) or i == 1:
-                out.append(self.row(i) + 1 - i)
-        return out
+        return list(self.box_table[0])
 
     def removable_contents(self) -> list[int]:
         """Contents of corner cells that may be removed, in decreasing order."""
-        out = []
-        for i in range(1, self.length + 1):
-            if self.row(i) > self.row(i + 1):
-                out.append(self.row(i) - i)
-        return out
+        return list(self.box_table[1])
 
     def add_box(self, a: int) -> Optional["Partition"]:
-        """The unique partition in nu + box_a, or None.
-
-        One pass down the rows: row i (0-based) offers content rows[i] - i,
-        which strictly decreases, so the scan stops once it drops below a."""
-        if not isinstance(a, int):
-            return None
-        rows = self.rows
-        for i, r in enumerate(rows):
-            c = r - i
-            if c <= a:
-                if c < a or (i and rows[i - 1] == r):
-                    return None
-                return Partition(rows[:i] + (r + 1,) + rows[i + 1 :])
-        if a == -len(rows):
-            return Partition(rows + (1,))
-        return None
+        """The unique partition in nu + box_a, or None (also for non-integer a)."""
+        return self.box_table[0].get(a) if isinstance(a, int) else None
 
     def remove_box(self, a: int) -> Optional["Partition"]:
-        """The unique partition in nu - box_a, or None (same single pass)."""
-        if not isinstance(a, int):
-            return None
-        rows = self.rows
-        last = len(rows) - 1
-        for i, r in enumerate(rows):
-            c = r - i - 1
-            if c <= a:
-                if c < a or (i < last and rows[i + 1] == r):
-                    return None
-                return Partition(rows[:i] + ((r - 1,) if r > 1 else ()) + rows[i + 1 :])
-        return None
+        """The unique partition in nu - box_a, or None (also for non-integer a)."""
+        return self.box_table[1].get(a) if isinstance(a, int) else None
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """All cells (row, column), 1-based."""
@@ -139,13 +118,29 @@ class Partition:
 EMPTY = Partition()
 
 
+def _box_table(rows: tuple[int, ...]) -> tuple[dict[int, Partition], dict[int, Partition]]:
+    """Partition.box_table of rows, in one pass: row i (0-based) offers the
+    addable content rows[i] - i unless the row above has the same length,
+    and the removable content rows[i] - i - 1 unless the row below does.
+    Both strictly decrease with i; the empty row below the last adds -len."""
+    adds: dict[int, Partition] = {}
+    removes: dict[int, Partition] = {}
+    last = len(rows) - 1
+    for i, r in enumerate(rows):
+        if i == 0 or rows[i - 1] > r:
+            adds[r - i] = Partition(rows[:i] + (r + 1,) + rows[i + 1 :])
+        if i == last or rows[i + 1] < r:
+            removes[r - i - 1] = Partition(rows[:i] + ((r - 1,) if r > 1 else ()) + rows[i + 1 :])
+    adds[-len(rows)] = Partition(rows + (1,))
+    return adds, removes
+
+
 def n_weight(nu: Partition, a: int) -> int:
     """The h_a eigenvalue on v_nu: +1 addable, -1 removable, 0 otherwise."""
-    if nu.add_box(a) is not None:
-        return 1
-    if nu.remove_box(a) is not None:
-        return -1
-    return 0
+    if not isinstance(a, int):
+        return 0
+    adds, removes = nu.box_table
+    return 1 if a in adds else -1 if a in removes else 0
 
 
 @dataclass(frozen=True, order=True)

@@ -169,12 +169,10 @@ def check_equal_cores_weights(cfg: VerifyConfig, pairs: int | None = None) -> Ch
             res.failures.append(f"cap move broke the core: {lam}, {mu}, t={t}")
             continue
         support = range(-2 * (cfg.max_size + abs(t) + 2), 2 * (cfg.max_size + abs(t) + 2))
-        for a in support:
-            lhs = n_weight(lam.black, a) - n_weight(lam.white, -(a + t))
-            rhs = n_weight(mu.black, a) - n_weight(mu.white, -(a + t))
-            if lhs != rhs:
-                res.failures.append(f"weight identity fails: {lam}, {mu}, t={t}, a={a}")
-                break
+        lhs, rhs = fock_mod.tensor_weight(lam, t), fock_mod.tensor_weight(mu, t)
+        differ = [a for a in lhs.keys() | rhs.keys() if a in support and lhs.get(a, 0) != rhs.get(a, 0)]
+        if differ:
+            res.failures.append(f"weight identity fails: {lam}, {mu}, t={t}, a={min(differ)}")
     return res
 
 
@@ -458,50 +456,54 @@ def _mode_basis(mode: fock_mod.Mode, max_size: int):
     raise ValueError(mode.kind)
 
 
-def _image_reader(mode: fock_mod.Mode, gens: range):
-    """The images apply_generator(gen, a, mode, {key: 1}) for a in gens, as a
-    list; each (gen, key) is computed once, the first time it is read."""
-    images: dict = {}
-
-    def images_of(gen: str, key) -> list[fock_mod.Vector]:
-        got = images.get((gen, key))
-        if got is None:
-            got = images[(gen, key)] = [fock_mod.apply_generator(gen, a, mode, {key: 1}) for a in gens]
-        return got
-
-    return images_of
-
-
 def check_commutators(cfg: VerifyConfig, gen_range: int | None = None, max_size: int | None = None) -> CheckResult:
     """[e_a, f_b] = delta_ab h_a on every basis vector of every mode: the
     defect fock.commutator_defect computes, assembled by linearity from the
-    images of single basis vectors, each read once per mode."""
+    images of single basis vectors, each built once per mode.  The defect
+    on v is 0 unless e_a v != 0, f_b v != 0 or a = b, so only those (a, b)
+    are assembled, in the order of the full loop; every (a, b) counts as an
+    instance."""
     res = CheckResult("fock.commutators", 0)
     rng = gen_range if gen_range is not None else min(cfg.max_size, 4)
     bound = max_size if max_size is not None else cfg.max_size
     gens = range(-rng, rng + 1)
     add = fock_mod._add_into
     for mode in _modes(cfg):
-        images_of = _image_reader(mode, gens)
+        memo: dict = {}
+
+        def images_of(gen: str, key) -> dict[int, fock_mod.Vector]:
+            got = memo.get((gen, key))
+            if got is None:
+                got = memo[(gen, key)] = fock_mod.images(gen, mode, key)
+            return got
+
         for key in _mode_basis(mode, bound):
-            vec = {key: 1}
             # e_a f_b v sums the e-images of the terms of f_b v, and f_b e_a v
-            # the f-images of the terms of e_a v; index j is b, index i is a.
-            e_after_f = [[(c, images_of("e", mid)) for mid, c in f_v.items()] for f_v in images_of("f", key)]
-            f_after_e = [[(c, images_of("f", mid)) for mid, c in e_v.items()] for e_v in images_of("e", key)]
-            for i, a in enumerate(gens):
-                for j, b in enumerate(gens):
-                    res.instances += 1
+            # the f-images of the terms of e_a v
+            e_after_f = {
+                b: [(c, images_of("e", mid)) for mid, c in f_v.items()]
+                for b, f_v in images_of("f", key).items()
+                if b in gens
+            }
+            f_after_e = {
+                a: [(c, images_of("f", mid)) for mid, c in e_v.items()]
+                for a, e_v in images_of("e", key).items()
+                if a in gens
+            }
+            res.instances += len(gens) ** 2
+            for a in gens:
+                e_side = f_after_e.get(a, ())
+                for b in gens if e_side else sorted({a, *e_after_f}):
+                    f_side = e_after_f.get(b, ())
                     defect: fock_mod.Vector = {}
-                    for c, e_images in e_after_f[j]:
-                        for out, c2 in e_images[i].items():
+                    for c, e_images in f_side:
+                        for out, c2 in e_images.get(a, {}).items():
                             add(defect, out, c * c2)
-                    for c, f_images in f_after_e[i]:
-                        for out, c2 in f_images[j].items():
+                    for c, f_images in e_side:
+                        for out, c2 in f_images.get(b, {}).items():
                             add(defect, out, -c * c2)
                     if a == b:
-                        for out, c in fock_mod.apply_h(a, mode, vec).items():
-                            add(defect, out, -c)
+                        add(defect, key, -fock_mod.h_eigenvalue(a, mode, key))
                     if defect:
                         res.failures.append(f"mode {mode.kind}, key {key}, a={a}, b={b}")
     return res
@@ -601,26 +603,29 @@ def check_taut_weights(cfg: VerifyConfig) -> CheckResult:
     return res
 
 
-def _tensor_matrix(gen: str, a: int, t: int, n: int) -> BipartitionMatrix:
-    mode = fock_mod.Mode.tensor(t)
-    m = BipartitionMatrix(n)
-    for lam in bipartitions_up_to(n):
-        for mu, coeff in fock_mod.apply_generator(gen, a, mode, {lam: 1}).items():
-            if mu.size <= n:
-                m.entries[(lam, mu)] = coeff
-    return m
-
-
 def check_fock_consistency(cfg: VerifyConfig, gen_range: int | None = None, max_size: int | None = None, t_values=None) -> CheckResult:
+    """f_a and e_a on the tensor module, cut to size at most the bound, are
+    a_tilde and e_tilde; the matrices of one t come from one pass over the
+    keys' images."""
     res = CheckResult("grothendieck.fock-consistency", 0)
     rng = gen_range if gen_range is not None else min(cfg.max_size, 4)
     bound = max_size if max_size is not None else cfg.max_size
+    gens = range(-rng, rng + 1)
     for t in t_values if t_values is not None else cfg.t_values:
-        for a in range(-rng, rng + 1):
+        mode = fock_mod.Mode.tensor(t)
+        mats = {gen: {a: BipartitionMatrix(bound) for a in gens} for gen in "fe"}
+        for lam in bipartitions_up_to(bound):
+            for gen, by_a in mats.items():
+                for a, image in fock_mod.images(gen, mode, lam).items():
+                    if a in by_a:
+                        for mu, coeff in image.items():
+                            if mu.size <= bound:
+                                by_a[a].entries[(lam, mu)] = coeff
+        for a in gens:
             res.instances += 2
-            if _tensor_matrix("f", a, t, bound) != groth_mod.a_tilde(a, t, bound):
+            if mats["f"][a] != groth_mod.a_tilde(a, t, bound):
                 res.failures.append(f"f matrix differs: a={a}, t={t}")
-            if _tensor_matrix("e", a, t, bound) != groth_mod.e_tilde(a, t, bound):
+            if mats["e"][a] != groth_mod.e_tilde(a, t, bound):
                 res.failures.append(f"e matrix differs: a={a}, t={t}")
     return res
 

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+from gltcomb import fock
 from gltcomb.fock import (
     Mode,
     apply_generator,
@@ -12,7 +15,7 @@ from gltcomb.fock import (
     sequence_to_partition,
     wedge_basis,
 )
-from gltcomb.partitions import Bipartition, Partition, n_weight, partitions_up_to
+from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to, n_weight, partitions_up_to
 
 P = Partition.of
 
@@ -127,3 +130,73 @@ def test_wedge_basis_counts():
     for k in range(1, 5):
         for n in range(k, k + 2):
             assert len(wedge_basis(n, k)) == len(partitions_up_to(k))
+
+
+def _apply_basis_reference(gen, a, mode, key, out, coeff):
+    """The per-call box moves apply_generator used before the box tables."""
+    add = fock._add_into
+    if mode.kind == "plain":
+        nu = key.add_box(a) if gen == "f" else key.remove_box(a)
+        if nu is not None:
+            add(out, nu, coeff)
+    elif mode.kind == "twisted":
+        nu = key.remove_box(-a) if gen == "f" else key.add_box(-a)
+        if nu is not None:
+            add(out, nu, coeff)
+    elif mode.kind == "shifted":
+        c = -(a + mode.t)
+        nu = key.remove_box(c) if gen == "f" else key.add_box(c)
+        if nu is not None:
+            add(out, nu, coeff)
+    elif mode.kind == "tensor":
+        black = key.black.add_box(a) if gen == "f" else key.black.remove_box(a)
+        if black is not None:
+            add(out, Bipartition(black, key.white), coeff)
+        c = -(a + mode.t)
+        white = key.white.remove_box(c) if gen == "f" else key.white.add_box(c)
+        if white is not None:
+            add(out, Bipartition(key.black, white), coeff)
+    elif mode.kind == "taut":
+        if gen == "f" and key == a:
+            add(out, a + 1, coeff)
+        elif gen == "e" and key == a + 1:
+            add(out, a, coeff)
+    elif mode.kind == "wedge":
+        src, dst = (a, a + 1) if gen == "f" else (a + 1, a)
+        if src in key and dst not in key:
+            add(out, tuple(dst if v == src else v for v in key), coeff)
+
+
+def _apply_reference(gen, a, mode, vec):
+    out = {}
+    for key, coeff in vec.items():
+        _apply_basis_reference(gen, a, mode, key, out, coeff)
+    return out
+
+
+def _outcome(apply, *args):
+    try:
+        return list(apply(*args).items())
+    except Exception as exc:  # the reference rejects some non-integer a
+        return (type(exc), str(exc))
+
+
+def test_apply_generator_matches_per_call_box_moves():
+    bases = [
+        (Mode.plain(), partitions_up_to(5)),
+        (Mode.twisted_dual(), partitions_up_to(5)),
+        (Mode.tautological(), range(-6, 7)),
+        (Mode.wedge(3), wedge_basis(3, 4)),
+    ]
+    for t in (-2, 0, 3):
+        bases.append((Mode.shifted_dual(t), partitions_up_to(5)))
+        bases.append((Mode.tensor(t), bipartitions_up_to(4)))
+    for mode, basis in bases:
+        # single keys, and a sum of keys for the linear extension
+        vecs = [{key: 2} for key in basis] + [dict.fromkeys(list(basis)[:12], -3)]
+        for vec in vecs:
+            for gen in ("f", "e"):
+                for a in (*range(-7, 8), 1.0, Fraction(1), "generic", True, None, 0.5):
+                    got = _outcome(apply_generator, gen, a, mode, vec)
+                    want = _outcome(_apply_reference, gen, a, mode, vec)
+                    assert got == want, (mode, vec, gen, a)

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -205,3 +206,98 @@ def test_size_is_stored_and_survives_copies():
     # size is no dataclass field: equality, ordering and JSON ignore it
     assert Partition((2, 1)).to_json() == [2, 1] and bp.to_json() == [[2, 1], [1]]
     assert Partition((2,)) < Partition((2, 1)) < Partition((3,))
+
+
+# The row scans the box table replaced, kept as references.
+def _scan_addable_contents(nu):
+    out = []
+    for i in range(1, nu.length + 2):
+        if nu.row(i - 1) > nu.row(i) or i == 1:
+            out.append(nu.row(i) + 1 - i)
+    return out
+
+
+def _scan_removable_contents(nu):
+    out = []
+    for i in range(1, nu.length + 1):
+        if nu.row(i) > nu.row(i + 1):
+            out.append(nu.row(i) - i)
+    return out
+
+
+def _scan_add_box(nu, a):
+    if not isinstance(a, int):
+        return None
+    rows = nu.rows
+    for i, r in enumerate(rows):
+        c = r - i
+        if c <= a:
+            if c < a or (i and rows[i - 1] == r):
+                return None
+            return Partition(rows[:i] + (r + 1,) + rows[i + 1 :])
+    if a == -len(rows):
+        return Partition(rows + (1,))
+    return None
+
+
+def _scan_remove_box(nu, a):
+    if not isinstance(a, int):
+        return None
+    rows = nu.rows
+    last = len(rows) - 1
+    for i, r in enumerate(rows):
+        c = r - i - 1
+        if c <= a:
+            if c < a or (i < last and rows[i + 1] == r):
+                return None
+            return Partition(rows[:i] + ((r - 1,) if r > 1 else ()) + rows[i + 1 :])
+    return None
+
+
+def _scan_n_weight(nu, a):
+    if _scan_add_box(nu, a) is not None:
+        return 1
+    if _scan_remove_box(nu, a) is not None:
+        return -1
+    return 0
+
+
+NON_INTEGERS = (1.0, Fraction(1), "generic", True, None)
+
+
+def test_box_table_matches_row_scans():
+    for nu in partitions_up_to(8):
+        assert nu.addable_contents() == _scan_addable_contents(nu), nu
+        assert nu.removable_contents() == _scan_removable_contents(nu), nu
+        for a in (*range(-10, 11), *NON_INTEGERS):
+            assert nu.add_box(a) == _scan_add_box(nu, a), (nu, a)
+            assert nu.remove_box(a) == _scan_remove_box(nu, a), (nu, a)
+            assert n_weight(nu, a) == _scan_n_weight(nu, a), (nu, a)
+
+
+def test_box_table_is_built_once_and_kept():
+    nu = Partition((3, 1, 1))
+    assert "box_table" not in nu.__dict__
+    plus = nu.add_box(3)
+    assert nu.box_table is nu.box_table
+    assert nu.add_box(3) is plus and plus == Partition((4, 1, 1))
+
+
+def test_box_table_leaves_object_contracts_unchanged():
+    fresh = Partition((3, 1, 1))
+    before = [pickle.dumps(fresh, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    nu = Partition((3, 1, 1))
+    nu.add_box(0)
+    assert "box_table" in nu.__dict__
+    assert [pickle.dumps(nu, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] == before
+    for copy_of in (pickle.loads(pickle.dumps(nu)), copy.copy(nu), copy.deepcopy(nu)):
+        assert "box_table" not in copy_of.__dict__
+        assert copy_of == nu == fresh and hash(copy_of) == hash(nu) == hash(fresh)
+        assert repr(copy_of) == repr(nu) == "Partition(rows=(3, 1, 1))"
+        assert copy_of.add_box(0) == nu.add_box(0)
+    assert sorted([Partition((3, 2)), nu, Partition((1,))]) == [Partition((1,)), nu, Partition((3, 2))]
+    assert Partition((3, 2)) > nu > Partition((3, 1)) and nu >= fresh and nu <= fresh
+    lam = Bipartition(nu, Partition((2,)))
+    for copy_of in (pickle.loads(pickle.dumps(lam)), copy.copy(lam), copy.deepcopy(lam)):
+        assert copy_of == lam and hash(copy_of) == hash(lam) and repr(copy_of) == repr(lam)
+        assert copy_of.black.remove_box(-2) == Partition((3, 1))

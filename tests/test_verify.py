@@ -1,10 +1,14 @@
 """The sparse verify checks: default-config counts, and injected defects that
 each rewritten check must still report with its usual message."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import gltcomb
 from gltcomb import caps, fock, grothendieck, verify
 from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to
@@ -207,17 +211,34 @@ def test_commutators_match_commutator_defect(cfg, kwargs, instances):
     ("e", -1, Bipartition.of((1,), (1,)), Bipartition.of((2,), ())),
 ])
 def test_commutators_report_stray_term_like_commutator_defect(monkeypatch, gen, a, key, stray):
-    # a stray term in one image, extended linearly, as both sides apply
-    # generators to single keys and to sums of keys
-    real = fock.apply_generator
+    # a stray term in one key's image, which check_commutators reads
+    # directly and commutator_defect through apply_generator's linear
+    # extension
+    real = fock.images
 
-    def apply_generator(g, b, mode, vec):
-        out = real(g, b, mode, vec)
-        if (g, b) == (gen, a) and key in vec:
-            fock._add_into(out, stray, vec[key])
+    def images(g, mode, k):
+        out = real(g, mode, k)
+        if g == gen and k == key:
+            out[a] = dict(out.get(a, {}))
+            fock._add_into(out[a], stray, 1)
         return out
 
-    monkeypatch.setattr(fock, "apply_generator", apply_generator)
+    monkeypatch.setattr(fock, "images", images)
+    got = verify.check_commutators(SMALL, gen_range=2)
+    want = _commutators_reference(SMALL, gen_range=2)
+    assert got.failures and got == want
+
+
+def test_commutators_report_wrong_weight_where_no_generator_moves(monkeypatch):
+    # h_2 off by one on the empty partition, where e_2 and f_2 both give 0
+    # in the plain, twisted and shifted modules, so only the a = b term
+    # carries the defect
+    real = fock.h_eigenvalue
+
+    def h_eigenvalue(a, mode, key):
+        return real(a, mode, key) + (1 if (a, key) == (2, Partition()) else 0)
+
+    monkeypatch.setattr(fock, "h_eigenvalue", h_eigenvalue)
     got = verify.check_commutators(SMALL, gen_range=2)
     want = _commutators_reference(SMALL, gen_range=2)
     assert got.failures and got == want
@@ -273,3 +294,34 @@ def test_stability_reports_row_defects_like_triple_loop(monkeypatch):
         "stability fails: [[1],[]], [[2,1],[1]], t=7",
         "stability fails: [[1],[1]], [[],[1]], t=9",
     ]
+
+
+# Every box rule reads Partition.box_table, so one content missing from one
+# partition's table must show in run_all.  A fresh interpreter builds every
+# table under the defect and leaves this process's tables intact.
+DROPPED_CONTENT = """
+from gltcomb import partitions, verify
+
+real = partitions._box_table
+
+
+def box_table(rows):
+    adds, removes = real(rows)
+    if rows == (2, 1):
+        del adds[0]
+    return adds, removes
+
+
+partitions._box_table = box_table
+cfg = verify.VerifyConfig(t_values=(-1, 0, 1), max_size=4)
+print(" ".join(r.name for r in verify.run_all(cfg) if r.failures))
+"""
+
+
+def test_run_all_reports_a_content_missing_from_a_box_table():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gltcomb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", DROPPED_CONTENT], env=env,
+                          capture_output=True, text=True, check=True)
+    failing = set(proc.stdout.split())
+    assert {"partitions.corner-count", "partitions.add-remove-inverse", "fock.commutators"} <= failing
