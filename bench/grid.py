@@ -2,8 +2,8 @@
 cold seconds of each kind of query on it.
 
 The grid is `matrix --kind K --max-size 6` for K in D, Dinv, B, b, and
-`decompose lam` for every bipartition lam of size at most 6, each at
-t in [-4, 4] and generic, in JSON and in text.  Every invocation's
+`decompose lam` and `caps lam` for every bipartition lam of size at most 6,
+each at t in [-4, 4] and generic, in JSON and in text.  Every invocation's
 arguments, exit code, standard output and standard error go into the
 digest of its kind; the run's digest hashes the kinds' digests in order.
 Two checkouts whose digests agree print the same bytes on the whole grid.
@@ -40,7 +40,8 @@ MAX_SIZE = 6
 T_VALUES = [*map(str, range(-4, 5)), "generic"]
 FORMATS = ["json", "text"]
 MATRIX_KINDS = ["D", "Dinv", "B", "b"]
-KINDS = MATRIX_KINDS + ["decompose"]
+LAMBDA_KINDS = ["decompose", "caps"]
+KINDS = MATRIX_KINDS + LAMBDA_KINDS
 
 
 def partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
@@ -67,8 +68,8 @@ def invocations(kind: str) -> list[list[str]]:
     for t in T_VALUES:
         for fmt in FORMATS:
             common = [f"--t={t}", "--format", fmt]
-            if kind == "decompose":
-                out += [["decompose", *common, lam] for lam in bipartitions()]
+            if kind in LAMBDA_KINDS:
+                out += [[kind, *common, lam] for lam in bipartitions()]
             else:
                 out.append(["matrix", "--kind", kind, "--max-size", str(MAX_SIZE), *common])
     return out

@@ -12,9 +12,11 @@ from .diagrams import (
     FAMILY_DPRIME,
     ParamT,
     WeightDiagram,
+    _symbol_run,
     build_diagram,
     diagram_to_bipartition,
     is_generic,
+    stable_window,
 )
 from .matrices import BipartitionMatrix
 from .partitions import Bipartition, bipartitions_up_to
@@ -22,8 +24,8 @@ from .partitions import Bipartition, bipartitions_up_to
 
 @dataclass(frozen=True)
 class CapDiagram:
-    """The caps of a weight diagram: a circle (left end) opens a cap and a
-    cross (right end) closes the nearest open circle to its left.
+    """The caps of a weight diagram, each a (circle, cross) pair with the
+    circle on the left, as cap_scan finds them.
 
     The left tail is all crosses and the right tail all circles, so every cap
     lies inside the stable window."""
@@ -39,26 +41,41 @@ class CapDiagram:
         }
 
 
-def scan_matching(symbols: list[str], offset: int = 0) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Nearest-unmatched parenthesis scan over a symbol sequence.
+def cap_scan(symbols: str, left: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """The one cap scan: the symbols at positions left, left + 1, ... read
+    right to left, where a cross opens a cap and a circle closes the nearest
+    open cross to its right.  Arrows are skipped.
 
-    Returns (caps, circles matched to the outside, unclosed cross positions).
-    Positions are offset so the first symbol sits at `offset`.
-    """
+    Returns (the caps as (circle, cross) pairs, ascending; the circles that
+    close nothing, right to left; the crosses left open, right to left)."""
     stack: list[int] = []
     caps: list[tuple[int, int]] = []
-    outside: list[int] = []
-    for k, sym in enumerate(symbols):
-        pos = offset + k
+    unmatched: list[int] = []
+    pos = left + len(symbols)
+    for sym in reversed(symbols):
+        pos -= 1
         if sym == CROSS:
             stack.append(pos)
         elif sym == CIRC:
             if stack:
-                caps.append((stack.pop(), pos))
+                caps.append((pos, stack.pop()))
             else:
-                outside.append(pos)
-    caps.sort()
-    return caps, outside, stack
+                unmatched.append(pos)
+    caps.reverse()  # closed right to left, so by descending circle
+    return caps, unmatched, stack
+
+
+def scan_matching(symbols: list[str], offset: int = 0) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """The nearest-unmatched parenthesis scan read left to right, where a
+    cross opens and a circle closes: cap_scan on the mirrored sequence.
+
+    Returns (caps as (cross, circle) pairs, circles matched to the outside,
+    unclosed cross positions), positions offset so the first symbol sits at
+    `offset`."""
+    # Position p of the mirror is -p here, so the mirror's cap (circle, cross)
+    # is the cap (-cross, -circle) read left to right.
+    caps, outside, stack = cap_scan("".join(reversed(symbols)), 1 - offset - len(symbols))
+    return sorted((-r, -l) for l, r in caps), [-p for p in outside], [-p for p in stack]
 
 
 @lru_cache(maxsize=None)
@@ -67,28 +84,31 @@ def build_caps(lam: Bipartition, t: int) -> CapDiagram:
     if is_generic(t):
         raise ValueError("cap diagrams require integer t")
     base = build_diagram(lam, t, FAMILY_DPRIME)
-    # Scanned right to left, a cross opens and a circle closes: position p
-    # sits at -p, so each scanned cap (-cross, -circle) is the cap (circle, cross).
-    caps, _, _ = scan_matching(list(reversed(base.symbols)), offset=-base.window[1])
-    return CapDiagram(base, tuple(sorted((-r, -l) for l, r in caps)))
+    caps, _, _ = cap_scan(base.symbols, base.window[0])
+    return CapDiagram(base, tuple(caps))
 
 
 @lru_cache(maxsize=None)
 def lift_row(lam: Bipartition, t: ParamT) -> frozenset[Bipartition]:
-    """The mu with D_t(lam, mu) = 1: for each subset of lam's caps, move the
-    crosses to their circle ends.  At generic t the row is {lam}."""
+    """The mu with D_t(lam, mu) = 1: lam, then for each subset of lam's caps
+    in combinations order, lam with those crosses moved to their circle ends.
+    lam's window is read once, and a row without caps is {lam} at once; at
+    generic t the row is {lam}."""
     if is_generic(t):
         return frozenset({lam})
-    cap_diag = build_caps(lam, t)
-    left, right = cap_diag.base.window
-    base = {s: cap_diag.base.symbol(s) for s in range(left, right + 1)}
+    left, right = stable_window(lam, t, FAMILY_DPRIME)
+    symbols = _symbol_run(lam, t, FAMILY_DPRIME, left, right)
+    caps, _, _ = cap_scan(symbols, left)
+    if not caps:
+        return frozenset({lam})
+    base = dict(zip(range(left, right + 1), symbols))
     row = {lam}
-    for k in range(1, len(cap_diag.caps) + 1):
-        for moved in combinations(cap_diag.caps, k):
-            symbols = dict(base)
+    for k in range(1, len(caps) + 1):
+        for moved in combinations(caps, k):
+            moved_symbols = dict(base)
             for l, r in moved:
-                symbols[l], symbols[r] = CROSS, CIRC
-            row.add(diagram_to_bipartition(symbols, t, FAMILY_DPRIME))
+                moved_symbols[l], moved_symbols[r] = CROSS, CIRC
+            row.add(diagram_to_bipartition(moved_symbols, t, FAMILY_DPRIME))
     return frozenset(row)
 
 

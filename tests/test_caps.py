@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from gltcomb import caps
 from gltcomb.caps import D_inverse, D_matrix, build_caps, inverse_row, lift_row, mult_D, scan_matching
-from gltcomb.diagrams import GENERIC
+from gltcomb.diagrams import FAMILY_DPRIME, GENERIC, diagram_to_bipartition
 from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, bipartitions_up_to
 
@@ -144,3 +146,50 @@ def test_cap_json():
     payload = build_caps(ONE, 0).to_json()
     assert "caps" in payload and "window" in payload
     assert all(len(c) == 2 for c in payload["caps"])
+
+
+def _reference_scan(symbols, offset=0):
+    """The left-to-right parenthesis scan cap_scan replaced, kept as an
+    independent reference: a cross opens and a circle closes."""
+    stack, found = [], []
+    for k, sym in enumerate(symbols):
+        if sym == "x":
+            stack.append(offset + k)
+        elif sym == "o" and stack:
+            found.append((stack.pop(), offset + k))
+    return sorted(found)
+
+
+def _reference_caps(lam, t):
+    """lam's caps by the reference scan run on its mirrored diagram."""
+    base = build_caps(lam, t).base
+    found = _reference_scan(list(reversed(base.symbols)), offset=-base.window[1])
+    return tuple(sorted((-r, -l) for l, r in found))
+
+
+def _reference_row(lam, t):
+    """A row of D built through the cap diagram: build_caps, the symbol of
+    every window position, then diagram_to_bipartition for every subset."""
+    if t == GENERIC:
+        return frozenset({lam})
+    cap_diag = build_caps(lam, t)
+    left, right = cap_diag.base.window
+    base = {s: cap_diag.base.symbol(s) for s in range(left, right + 1)}
+    row = {lam}
+    for k in range(1, len(cap_diag.caps) + 1):
+        for moved in combinations(cap_diag.caps, k):
+            symbols = dict(base)
+            for l, r in moved:
+                symbols[l], symbols[r] = "x", "o"
+            row.add(diagram_to_bipartition(symbols, t, FAMILY_DPRIME))
+    return frozenset(row)
+
+
+def test_lift_row_matches_the_cap_diagram_construction():
+    # size 8 holds the first rows with two caps, whose order a subset order shows
+    for lam in bipartitions_up_to(8):
+        for t in [*range(-8, 9), GENERIC]:
+            row, want = lift_row(lam, t), _reference_row(lam, t)
+            assert row == want and list(row) == list(want), (lam, t)
+            if t != GENERIC:
+                assert build_caps(lam, t).caps == _reference_caps(lam, t), (lam, t)

@@ -325,3 +325,34 @@ def test_run_all_reports_a_content_missing_from_a_box_table():
                           capture_output=True, text=True, check=True)
     failing = set(proc.stdout.split())
     assert {"partitions.corner-count", "partitions.add-remove-inverse", "fock.commutators"} <= failing
+
+
+# lift_row, build_caps and scan_matching all read caps.cap_scan, so one cap
+# dropped by the scan must show in run_all's dimension oracle and in the
+# matching-uniqueness check, both in a fresh interpreter as above.
+DROPPED_CAP = """
+from gltcomb import caps, verify
+
+real = caps.cap_scan
+
+
+def cap_scan(symbols, left):
+    found, unmatched, stack = real(symbols, left)
+    return found[1:], unmatched, stack
+
+
+caps.cap_scan = cap_scan
+cfg = verify.VerifyConfig(t_values=(-1, 0, 1), max_size=4)
+print(" ".join(r.name for r in verify.run_all(cfg) if r.failures))
+print("uniqueness", "pass" if verify.check_matching_uniqueness(cfg, diagrams=200).ok else "fail")
+"""
+
+
+def test_run_all_reports_a_cap_dropped_by_the_scan():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gltcomb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", DROPPED_CAP], env=env,
+                          capture_output=True, text=True, check=True)
+    failing, uniqueness = proc.stdout.splitlines()
+    assert {"caps.dimension-oracle", "caps.matching-uniqueness"} <= set(failing.split())
+    assert uniqueness == "uniqueness fail"
