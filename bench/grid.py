@@ -3,7 +3,9 @@ cold seconds of each kind of query on it.
 
 The grid is `matrix --kind K --max-size 6` for K in D, Dinv, B, b, and
 `decompose lam` and `caps lam` for every bipartition lam of size at most 6,
-each at t in [-4, 4] and generic, in JSON and in text.  Every invocation's
+each at t in [-4, 4] and generic, in JSON and in text.  The translation
+kinds A, atilde and etilde add `--a a` for a in [-3, 3]; at generic t they
+run without `--family` (exit code 2) and with each family.  Every invocation's
 arguments, exit code, standard output and standard error go into the
 digest of its kind; the run's digest hashes the kinds' digests in order.
 Two checkouts whose digests agree print the same bytes on the whole grid.
@@ -41,7 +43,10 @@ T_VALUES = [*map(str, range(-4, 5)), "generic"]
 FORMATS = ["json", "text"]
 MATRIX_KINDS = ["D", "Dinv", "B", "b"]
 LAMBDA_KINDS = ["decompose", "caps"]
-KINDS = MATRIX_KINDS + LAMBDA_KINDS
+TRANSLATION_KINDS = ["A", "atilde", "etilde"]
+A_VALUES = range(-3, 4)
+FAMILIES = [[], ["--family", "integer"], ["--family", "shifted"]]
+KINDS = MATRIX_KINDS + LAMBDA_KINDS + TRANSLATION_KINDS
 
 
 def partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
@@ -70,6 +75,10 @@ def invocations(kind: str) -> list[list[str]]:
             common = [f"--t={t}", "--format", fmt]
             if kind in LAMBDA_KINDS:
                 out += [[kind, *common, lam] for lam in bipartitions()]
+            elif kind in TRANSLATION_KINDS:
+                matrix = ["matrix", "--kind", kind, "--max-size", str(MAX_SIZE)]
+                out += [[*matrix, "--a", str(a), *common, *family]
+                        for a in A_VALUES for family in (FAMILIES if t == "generic" else [[]])]
             else:
                 out.append(["matrix", "--kind", kind, "--max-size", str(MAX_SIZE), *common])
     return out

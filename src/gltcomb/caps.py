@@ -89,32 +89,33 @@ def build_caps(lam: Bipartition, t: int) -> CapDiagram:
 
 
 @lru_cache(maxsize=None)
-def lift_row(lam: Bipartition, t: ParamT) -> frozenset[Bipartition]:
-    """The mu with D_t(lam, mu) = 1: lam, then for each subset of lam's caps
-    in combinations order, lam with those crosses moved to their circle ends.
-    lam's window is read once, and a row without caps is {lam} at once; at
-    generic t the row is {lam}."""
+def lift_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
+    """lam's row of D(t), {mu: 1} for the mu with D_t(lam, mu) = 1: lam, then
+    for each subset of lam's caps in combinations order, lam with those
+    crosses moved to their circle ends.  lam's window is read once, and a row
+    without caps is {lam: 1} at once, as is every row at generic t.  Shared
+    by every caller and by D(t, n); do not mutate it."""
     if is_generic(t):
-        return frozenset({lam})
+        return {lam: 1}
     left, right = stable_window(lam, t, FAMILY_DPRIME)
     symbols = _symbol_run(lam, t, FAMILY_DPRIME, left, right)
     caps, _, _ = cap_scan(symbols, left)
+    row = {lam: 1}
     if not caps:
-        return frozenset({lam})
+        return row
     base = dict(zip(range(left, right + 1), symbols))
-    row = {lam}
     for k in range(1, len(caps) + 1):
         for moved in combinations(caps, k):
             moved_symbols = dict(base)
             for l, r in moved:
                 moved_symbols[l], moved_symbols[r] = CROSS, CIRC
-            row.add(diagram_to_bipartition(moved_symbols, t, FAMILY_DPRIME))
-    return frozenset(row)
+            row[diagram_to_bipartition(moved_symbols, t, FAMILY_DPRIME)] = 1
+    return row
 
 
 def mult_D(lam: Bipartition, mu: Bipartition, t: ParamT) -> int:
     """The 0/1 multiplicity of the standard object of mu in the tilting of lam."""
-    return 1 if mu in lift_row(lam, t) else 0
+    return lift_row(lam, t).get(mu, 0)
 
 
 @lru_cache(maxsize=None)
@@ -122,29 +123,15 @@ def D_matrix(t: ParamT, n: int) -> BipartitionMatrix:
     """The rows lift_row(lam, t) over bipartitions of size at most n."""
     if n < 0:
         raise ValueError("size bound must be nonnegative")
-    m = BipartitionMatrix(n)
-    for lam in bipartitions_up_to(n):
-        for mu in lift_row(lam, t):
-            m.entries[(lam, mu)] = 1
-    return m
-
-
-@lru_cache(maxsize=None)
-def _D_columns(t: ParamT, n: int) -> dict[Bipartition, list[Bipartition]]:
-    """For each mu, the lam != mu with D(t, n)(lam, mu) = 1, by ascending
-    size.  The diagonal, all 1, is left out: most columns hold nothing else."""
-    columns: dict[Bipartition, list[Bipartition]] = {}
-    for lam, mu in D_matrix(t, n).entries:
-        if lam != mu:
-            columns.setdefault(mu, []).append(lam)
-    return columns
+    return BipartitionMatrix(n, {lam: lift_row(lam, t) for lam in bipartitions_up_to(n)})
 
 
 @lru_cache(maxsize=None)
 def inverse_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
     """lam's row of D(t)^-1, the same in every truncation n >= |lam|: e_lam
     minus the inverse rows of the other nu in lift_row(lam, t), which are all
-    smaller than lam.  Shared by every caller; do not mutate it."""
+    smaller than lam.  Shared by every caller and by D(t, n)^-1; do not
+    mutate it."""
     row = {lam: 1}
     for nu in lift_row(lam, t):
         if nu == lam:
@@ -163,4 +150,4 @@ def inverse_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
 @lru_cache(maxsize=None)
 def D_inverse(t: ParamT, n: int) -> BipartitionMatrix:
     """Exact integer inverse of the truncated multiplicity matrix."""
-    return BipartitionMatrix.from_rows(n, {lam: inverse_row(lam, t) for lam in bipartitions_up_to(n)})
+    return BipartitionMatrix(n, {lam: inverse_row(lam, t) for lam in bipartitions_up_to(n)})

@@ -129,11 +129,10 @@ def cmd_matrix(args) -> int:
         m = groth_mod.e_tilde(args.a, t, n, family)
     else:
         m = groth_mod.a_matrix(args.a, t, n, family)
-    from .matrices import sort_key
-
-    items = sorted(m.entries.items(), key=lambda kv: (sort_key(kv[0][0]), sort_key(kv[0][1])))
-    text = "\n".join(f"{lam} {mu} {v}" for (lam, mu), v in items)
-    _emit(args, text, m.to_json(t=t))
+    if args.format == "json":
+        _emit(args, None, m.to_json(t=t))
+    else:
+        _emit(args, "\n".join(f"{lam} {mu} {v}" for lam, mu, v in m.items()), None)
     return 0
 
 

@@ -166,11 +166,9 @@ def core_key(lam: Bipartition, t: int, family: str = FAMILY_DPRIME) -> tuple[tup
     Outside the stable window both tails are circles once crosses are cored,
     so two diagrams have the same core exactly when their keys are equal.
     """
-    if is_generic(t):
-        raise ValueError("core keys are defined for integer t only")
-    d = build_diagram(lam, t, family)
-    left = d.window[0]
-    return tuple((left + k, sym) for k, sym in enumerate(d.symbols) if sym in (GT, LT))
+    left, right = stable_window(lam, t, family)  # rejects generic t
+    symbols = _symbol_run(lam, t, family, left, right)
+    return tuple((left + k, sym) for k, sym in enumerate(symbols) if sym in (GT, LT))
 
 
 def core_blocks(index, t: int) -> dict[Bipartition, list[Bipartition]]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .caps import _D_columns, inverse_row, lift_row
+from .caps import D_matrix, inverse_row, lift_row
 from .diagrams import ParamT, is_generic
 from .lr import B_matrix
 from .matrices import BipartitionMatrix
@@ -64,12 +64,11 @@ def a_tilde(a: int, t: ParamT, n: int, family: Optional[str] = None) -> Bipartit
     white_c = _white_shift(a, t, family)
     black_on = _black_on(t, family)
     black, white = _box_moves(n)
-    moves = []
-    if black_on:
-        moves += black.get(a, [])
+    rows = {lam: {mu: 1} for lam, mu in black.get(a, [])} if black_on else {}
     if white_c is not None:
-        moves += white.get(white_c, [])
-    return BipartitionMatrix(n, dict.fromkeys(moves, 1))
+        for lam, mu in white.get(white_c, []):
+            rows.setdefault(lam, {})[mu] = 1
+    return BipartitionMatrix(n, rows)
 
 
 def e_tilde(a: int, t: ParamT, n: int, family: Optional[str] = None) -> BipartitionMatrix:
@@ -82,11 +81,11 @@ def e_tilde(a: int, t: ParamT, n: int, family: Optional[str] = None) -> Bipartit
         if black_on:
             black = lam.black.remove_box(a)
             if black is not None:
-                m.entries[(lam, Bipartition(black, lam.white))] = 1
+                m.set(lam, Bipartition(black, lam.white), 1)
         if white_c is not None:
             white = lam.white.add_box(white_c)
             if white is not None and lam.size + 1 <= n:
-                m.entries[(lam, Bipartition(lam.black, white))] = 1
+                m.set(lam, Bipartition(lam.black, white), 1)
     return m
 
 
@@ -96,31 +95,33 @@ class InternalInconsistencyError(RuntimeError):
 
 def a_matrix(a: int, t: ParamT, n: int, family: Optional[str] = None) -> BipartitionMatrix:
     """Translation matrix on the tilting basis, D * a_tilde * D^-1 computed at
-    truncation n+1 and restricted to n.  Only the nonzeros (mu, nu) of a_tilde
-    are visited: every lam of size at most n with D(lam, mu) = 1 gains
-    D^-1's row of nu, cut to size at most n."""
+    truncation n+1 and restricted to n.  Row lam is F_a T(lam) in the tilting
+    basis: over the mu of D's row of lam, lift_row(lam, t), then the nu of
+    a_tilde's row of mu, the sum of D^-1's rows of nu, cut to size at most n."""
     if is_generic(t):
         return a_tilde(a, t, n, family)
-    columns = _D_columns(t, n + 1)
+    tilde = a_tilde(a, t, n + 1, family).rows
     m = BipartitionMatrix(n)
-    entries = m.entries
-    for mu, nu in a_tilde(a, t, n + 1, family).entries:
-        inv_row = [(kappa, w) for kappa, w in inverse_row(nu, t).items() if kappa.size <= n]
-        for lam in (mu, *columns.get(mu, ())):
-            if lam.size > n:
-                break  # mu, then its column by ascending size
-            for kappa, w in inv_row:
-                key = (lam, kappa)
-                acc = entries.get(key, 0) + w
-                if acc:
-                    entries[key] = acc
-                else:
-                    del entries[key]
-    for (lam, mu), v in entries.items():
-        if v < 0:
-            raise InternalInconsistencyError(
-                f"negative tilting multiplicity {v} at ({lam}, {mu}), a={a}, t={t}"
-            )
+    for lam, lift in D_matrix(t, n + 1).rows.items():
+        if lam.size > n:
+            break  # D's rows run in index order, by ascending size
+        row: dict[Bipartition, int] = {}
+        for mu in lift:
+            for nu in tilde.get(mu, ()):
+                for kappa, w in inverse_row(nu, t).items():
+                    if kappa.size <= n:
+                        acc = row.get(kappa, 0) + w
+                        if acc:
+                            row[kappa] = acc
+                        else:
+                            del row[kappa]
+        for kappa, v in row.items():
+            if v < 0:
+                raise InternalInconsistencyError(
+                    f"negative tilting multiplicity {v} at ({lam}, {kappa}), a={a}, t={t}"
+                )
+        if row:
+            m.rows[lam] = row
     return m
 
 
@@ -131,7 +132,7 @@ def b_row(
     B's row of lam (B_lam, read from B(|lam|) when not given) times the rows
     of D(t)^-1, checked nonnegative."""
     if B_lam is None:
-        B_lam = _B_rows(lam.size)[lam]
+        B_lam = B_matrix(lam.size).rows[lam]
     row: dict[Bipartition, int] = {}
     for nu, v in B_lam.items():
         for mu, w in inverse_row(nu, t).items():
@@ -151,20 +152,14 @@ def b_row(
 def b_matrix(t: ParamT, n: int) -> BipartitionMatrix:
     """Multiplicities of indecomposable tiltings in the mixed Schur-functor
     tensor objects: B times the inverse of the lift-multiplicity matrix."""
-    rows = {lam: b_row(lam, t, B_lam) for lam, B_lam in _B_rows(n).items()}
-    return BipartitionMatrix.from_rows(n, rows)
-
-
-@lru_cache(maxsize=None)
-def _B_rows(n: int) -> dict[Bipartition, dict[Bipartition, int]]:
-    """B(n) grouped by rows, once per n; shared, so do not mutate it."""
-    return B_matrix(n).rows()
+    B = B_matrix(n).rows
+    return BipartitionMatrix(n, {lam: b_row(lam, t, B[lam]) for lam in bipartitions_up_to(n)})
 
 
 def hom_dim(lam: Bipartition, mu: Bipartition, t: ParamT) -> int:
     """dim Hom between the tiltings of lam and mu: paired standard
     multiplicities, which are 0/1, so the standards the two rows share."""
-    return len(lift_row(lam, t) & lift_row(mu, t))
+    return len(lift_row(lam, t).keys() & lift_row(mu, t).keys())
 
 
 @dataclass(frozen=True)

@@ -163,23 +163,15 @@ def B_matrix(n: int) -> BipartitionMatrix:
     Generated from each column mu: for every kappa with |mu| + 2|kappa| <= n,
     the terms of s_{mu black} * s_kappa and s_{mu white} * s_kappa pair up
     into the entries B((alpha, beta), mu), which is B_entry summed term by term."""
-    index = bipartitions_up_to(n)
     # Columns sharing a black or a white part expand the same products.
     lr_terms = cache(_lr_terms)
-    entries: dict[tuple[Bipartition, Bipartition], int] = {}
-    for mu in index:
+    m = BipartitionMatrix(n)
+    for mu in bipartitions_up_to(n):
         for d in range((n - mu.size) // 2 + 1):
             for kappa in partitions_of(d):
                 white_terms = lr_terms(mu.white, kappa)
                 for alpha, c in lr_terms(mu.black, kappa):
                     for beta, c2 in white_terms:
-                        key = (Bipartition(alpha, beta), mu)
-                        entries[key] = entries.get(key, 0) + c * c2
-    # Insert in (row, column) index order, as the all-pairs loop did, so the
-    # products built from B, and the first negative entry they report, keep
-    # their order.
-    pos = {bp: i for i, bp in enumerate(index)}
-    m = BipartitionMatrix(n)
-    for key in sorted(entries, key=lambda rc: (pos[rc[0]], pos[rc[1]])):
-        m.entries[key] = entries[key]
+                        row = m.rows.setdefault(Bipartition(alpha, beta), {})
+                        row[mu] = row.get(mu, 0) + c * c2
     return m

@@ -13,71 +13,81 @@ def sort_key(bp: Bipartition):
 
 @dataclass
 class BipartitionMatrix:
-    """Sparse map (row, col) -> integer over bipartitions of size <= n."""
+    """Sparse integer matrix over bipartitions of size <= n, stored by rows:
+    row -> {col: value}, with nonzero values only and no empty row.
+
+    A row may be shared with the rule that computed it (D's rows are
+    caps.lift_row, D^-1's caps.inverse_row), so copy a row before editing it."""
 
     n: int
-    entries: dict[tuple[Bipartition, Bipartition], int] = field(default_factory=dict)
+    rows: dict[Bipartition, dict[Bipartition, int]] = field(default_factory=dict)
 
     def get(self, row: Bipartition, col: Bipartition) -> int:
-        return self.entries.get((row, col), 0)
+        entries = self.rows.get(row)
+        return entries.get(col, 0) if entries else 0
 
     def set(self, row: Bipartition, col: Bipartition, val: int) -> None:
-        if val == 0:
-            self.entries.pop((row, col), None)
-        else:
-            self.entries[(row, col)] = val
+        if val:
+            self.rows.setdefault(row, {})[col] = val
+        elif col in self.rows.get(row, ()):
+            del self.rows[row][col]
+            if not self.rows[row]:
+                del self.rows[row]
 
     def index(self) -> tuple[Bipartition, ...]:
         return bipartitions_up_to(self.n)
 
+    def items(self):
+        """Every (row, col, value), rows then columns in (size, black, white) order."""
+        for r in sorted(self.rows, key=sort_key):
+            row = self.rows[r]
+            for c in sorted(row, key=sort_key):
+                yield r, c, row[c]
+
     @staticmethod
     def identity(n: int) -> "BipartitionMatrix":
-        m = BipartitionMatrix(n)
-        for bp in bipartitions_up_to(n):
-            m.entries[(bp, bp)] = 1
-        return m
-
-    @staticmethod
-    def from_rows(n: int, rows: dict[Bipartition, dict[Bipartition, int]]) -> "BipartitionMatrix":
-        return BipartitionMatrix(n, {(r, c): v for r, row in rows.items() for c, v in row.items()})
-
-    def rows(self) -> dict[Bipartition, dict[Bipartition, int]]:
-        out: dict[Bipartition, dict[Bipartition, int]] = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(r, {})[c] = v
-        return out
+        return BipartitionMatrix(n, {bp: {bp: 1} for bp in bipartitions_up_to(n)})
 
     def mul(self, other: "BipartitionMatrix") -> "BipartitionMatrix":
         if self.n != other.n:
             raise ValueError("size bounds differ")
-        other_rows = other.rows()
         result = BipartitionMatrix(self.n)
-        for (r, k), v in self.entries.items():
-            for c, w in other_rows.get(k, {}).items():
-                key = (r, c)
-                acc = result.entries.get(key, 0) + v * w
-                if acc:
-                    result.entries[key] = acc
-                else:
-                    result.entries.pop(key, None)
+        for r, row in self.rows.items():
+            acc: dict[Bipartition, int] = {}
+            for k, v in row.items():
+                for c, w in other.rows.get(k, {}).items():
+                    total = acc.get(c, 0) + v * w
+                    if total:
+                        acc[c] = total
+                    else:
+                        del acc[c]
+            if acc:
+                result.rows[r] = acc
         return result
 
     def transpose(self) -> "BipartitionMatrix":
-        return BipartitionMatrix(self.n, {(c, r): v for (r, c), v in self.entries.items()})
+        result = BipartitionMatrix(self.n)
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                result.rows.setdefault(c, {})[r] = v
+        return result
 
     def restrict(self, n: int) -> "BipartitionMatrix":
         if n > self.n:
             raise ValueError("cannot grow a truncation")
-        return BipartitionMatrix(
-            n,
-            {(r, c): v for (r, c), v in self.entries.items() if r.size <= n and c.size <= n},
-        )
+        result = BipartitionMatrix(n)
+        for r, row in self.rows.items():
+            if r.size <= n:
+                kept = {c: v for c, v in row.items() if c.size <= n}
+                if kept:
+                    result.rows[r] = kept
+        return result
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BipartitionMatrix)
             and self.n == other.n
-            and self.entries == other.entries
+            and self.rows == other.rows
         )
 
     def is_unitriangular(self) -> bool:
@@ -85,17 +95,15 @@ class BipartitionMatrix:
         for bp in self.index():
             if self.get(bp, bp) != 1:
                 return False
-        return all(r == c or r.size > c.size or v == 0 for (r, c), v in self.entries.items())
+        return all(r == c or r.size > c.size for r, row in self.rows.items() for c in row)
 
     def to_json(self, t=None) -> dict:
-        items = sorted(self.entries.items(), key=lambda kv: (sort_key(kv[0][0]), sort_key(kv[0][1])))
         out = {
             "N": self.n,
             "entries": [
-                {"row": r.to_json(), "col": c.to_json(), "val": v} for (r, c), v in items
+                {"row": r.to_json(), "col": c.to_json(), "val": v} for r, c, v in self.items()
             ],
         }
         if t is not None:
             out = {"t": t, **out}
         return out
-

@@ -295,7 +295,7 @@ def check_dimension_oracle(cfg: VerifyConfig) -> CheckResult:
     for m in cfg.t_values:
         if m < 0:
             continue
-        rows = caps_mod.D_matrix(m, cfg.max_size).rows()
+        rows = caps_mod.D_matrix(m, cfg.max_size).rows
         for lam in index:
             res.instances += 1
             got = sum(v * _dim_polynomial_at(nu, m) for nu, v in rows.get(lam, {}).items())
@@ -620,7 +620,7 @@ def check_fock_consistency(cfg: VerifyConfig, gen_range: int | None = None, max_
                     if a in by_a:
                         for mu, coeff in image.items():
                             if mu.size <= bound:
-                                by_a[a].entries[(lam, mu)] = coeff
+                                by_a[a].set(lam, mu, coeff)
         for a in gens:
             res.instances += 2
             if mats["f"][a] != groth_mod.a_tilde(a, t, bound):
@@ -671,19 +671,23 @@ def check_above_diagonal(cfg: VerifyConfig, gen_range: int | None = None, t_valu
     below_support = 0
     for t in t_values if t_values is not None else cfg.t_values:
         for a in range(-rng, rng + 1):
-            big = groth_mod.a_matrix(a, t, bound).entries
-            tilde = groth_mod.a_tilde(a, t, bound).entries
+            big = groth_mod.a_matrix(a, t, bound)
+            tilde = groth_mod.a_tilde(a, t, bound)
             res.instances += above_pairs
             differ = [
                 (lam, mu)
-                for lam, mu in big.keys() | tilde.keys()
-                if lam.size < mu.size and big.get((lam, mu), 0) != tilde.get((lam, mu), 0)
+                for lam in big.rows.keys() | tilde.rows.keys()
+                for mu in big.rows.get(lam, {}).keys() | tilde.rows.get(lam, {}).keys()
+                if lam.size < mu.size and big.get(lam, mu) != tilde.get(lam, mu)
             ]
             differ.sort(key=lambda key: (pos[key[0]], pos[key[1]]))
             for lam, mu in differ:
                 res.failures.append(f"above-diagonal differs: {lam}, {mu}, a={a}, t={t}")
             below_support += sum(
-                1 for (lam, mu), v in big.items() if lam.size > mu.size and v and not tilde.get((lam, mu))
+                1
+                for lam, row in big.rows.items()
+                for mu in row
+                if lam.size > mu.size and not tilde.get(lam, mu)
             )
     res.notes.append(f"below-diagonal extra support entries observed: {below_support}")
     return res
@@ -717,22 +721,18 @@ def check_matrix_commutators(cfg: VerifyConfig, gen_range: int | None = None, ma
             for b in gens:
                 f_mat = f_mats[b]
                 # row-vector convention: F then E is f_mat.mul(e_mat)
-                diff = dict(f_mat.mul(e_mat).entries)
-                for key, v in e_mat.mul(f_mat).entries.items():
-                    diff[key] = diff.get(key, 0) - v
-                if a == b:
-                    for lam in interior:
-                        h = n_weight(lam.black, a) - n_weight(lam.white, -(a + t))
-                        diff[(lam, lam)] = diff.get((lam, lam), 0) - h
-                # the first offending mu of each row, in index order
-                first_bad: dict[Bipartition, Bipartition] = {}
-                for (lam, mu), v in diff.items():
-                    if v and (lam not in first_bad or pos[mu] < pos[first_bad[lam]]):
-                        first_bad[lam] = mu
+                fe, ef = f_mat.mul(e_mat).rows, e_mat.mul(f_mat).rows
                 res.instances += len(interior)
                 for lam in interior:
-                    if lam in first_bad:
-                        res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {lam}->{first_bad[lam]}")
+                    diff = dict(fe.get(lam, {}))
+                    for mu, v in ef.get(lam, {}).items():
+                        diff[mu] = diff.get(mu, 0) - v
+                    if a == b:
+                        h = n_weight(lam.black, a) - n_weight(lam.white, -(a + t))
+                        diff[lam] = diff.get(lam, 0) - h
+                    bad = [pos[mu] for mu, v in diff.items() if v]
+                    if bad:  # report the first offending mu, in index order
+                        res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {lam}->{index[min(bad)]}")
     return res
 
 
@@ -744,9 +744,9 @@ def check_eigen_support(cfg: VerifyConfig) -> CheckResult:
         # (lam, mu) -> the a, ascending, whose translation matrix connects them
         hits: dict[tuple[Bipartition, Bipartition], list[int]] = {}
         for a in range(-span, span + 1):
-            for key, v in groth_mod.a_tilde(a, t, cfg.max_size).entries.items():
-                if v:
-                    hits.setdefault(key, []).append(a)
+            for lam, row in groth_mod.a_tilde(a, t, cfg.max_size).rows.items():
+                for mu in row:
+                    hits.setdefault((lam, mu), []).append(a)
         for lam in index:
             for mu in index:
                 res.instances += 1
@@ -784,7 +784,7 @@ def check_f_on_standard(cfg: VerifyConfig) -> CheckResult:
     rng = min(cfg.max_size, 3)
     for t in cfg.t_values:
         for a in range(-rng, rng + 1):
-            tilde_rows = groth_mod.a_tilde(a, t, cfg.max_size + 1).rows()
+            tilde_rows = groth_mod.a_tilde(a, t, cfg.max_size + 1).rows
             for lam in bipartitions_up_to(cfg.max_size):
                 res.instances += 1
                 sub, quot = groth_mod.f_on_standard(lam, a, t)

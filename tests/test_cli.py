@@ -94,8 +94,8 @@ def test_decompose_reports_negative_entry_of_its_row(capsys, monkeypatch):
     monkeypatch.setattr(grothendieck, "inverse_row", defective)
     n = lam.size
     product = B_matrix(n).mul(
-        BipartitionMatrix.from_rows(n, {nu: defective(nu, t) for nu in bipartitions_up_to(n)}))
-    negative = {f"{v} at ({lam}, {mu})" for (row, mu), v in product.entries.items()
+        BipartitionMatrix(n, {nu: defective(nu, t) for nu in bipartitions_up_to(n)}))
+    negative = {f"{v} at ({lam}, {mu})" for row, mu, v in product.items()
                 if row == lam and v < 0}
     assert negative
     code, out, err = run(capsys, "decompose", "--t", str(t), str(lam))

@@ -183,3 +183,16 @@ def test_one_pass_symbols_match_per_position_reference(family, t):
 def test_symbol_at_rejects_unknown_family():
     with pytest.raises(ValueError):
         symbol_at(Bipartition.of((), ()), 0, "q", 0)
+
+
+@pytest.mark.parametrize("family", [FAMILY_D, FAMILY_DPRIME])
+def test_core_key_matches_the_built_diagram(family):
+    """core_key reads lam's window itself; its keys are the '>' and '<'
+    positions of the WeightDiagram that build_diagram gives."""
+    for lam in bipartitions_up_to(6):
+        for t in range(-6, 7):
+            d = build_diagram(lam, t, family)
+            want = tuple(
+                (s, d.symbol(s)) for s in range(d.window[0], d.window[1] + 1) if d.symbol(s) in (">", "<")
+            )
+            assert core_key(lam, t, family) == want, (lam, t)

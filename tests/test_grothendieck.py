@@ -42,9 +42,9 @@ def test_e_tilde_is_transpose():
 
 def test_generic_family_split():
     m_int = a_tilde(1, GENERIC, 2, INTEGER_FAMILY)
-    assert all(lam.white == mu.white for (lam, mu) in m_int.entries)
+    assert all(lam.white == mu.white for lam, mu, _ in m_int.items())
     m_sh = a_tilde(-1, GENERIC, 2, SHIFTED_FAMILY)
-    assert all(lam.black == mu.black for (lam, mu) in m_sh.entries)
+    assert all(lam.black == mu.black for lam, mu, _ in m_sh.items())
     # the shifted copy removes a white box of content -a
     assert m_sh.get(ONE, Bipartition.of((1,), ())) == 0
     assert m_sh.get(
@@ -66,11 +66,11 @@ def _a_tilde_reference(a, t, n, family=None):
         if black_on:
             black = lam.black.add_box(a)
             if black is not None and lam.size + 1 <= n:
-                m.entries[(lam, Bipartition(black, lam.white))] = 1
+                m.set(lam, Bipartition(black, lam.white), 1)
         if white_c is not None:
             white = lam.white.remove_box(white_c)
             if white is not None:
-                m.entries[(lam, Bipartition(lam.black, white))] = 1
+                m.set(lam, Bipartition(lam.black, white), 1)
     return m
 
 
@@ -92,7 +92,7 @@ def test_a_matrix_conjugation():
                 got = a_matrix(a, t, n)
                 product = d.mul(a_tilde(a, t, n + 1)).mul(d_inv).restrict(n)
                 assert got == product
-                assert all(v >= 0 for v in got.entries.values())
+                assert all(v >= 0 for _, _, v in got.items())
 
 
 def test_a_matrix_reports_negative_entry(monkeypatch):
@@ -103,8 +103,8 @@ def test_a_matrix_reports_negative_entry(monkeypatch):
     rows[ONE][ONE] = -7
     monkeypatch.setattr(grothendieck, "inverse_row", lambda lam_, t_: rows[lam_])
     product = D_matrix(t, n + 1).mul(a_tilde(a, t, n + 1)).mul(
-        BipartitionMatrix.from_rows(n + 1, rows)).restrict(n)
-    negative = {f"{v} at ({lam}, {mu})" for (lam, mu), v in product.entries.items() if v < 0}
+        BipartitionMatrix(n + 1, rows)).restrict(n)
+    negative = {f"{v} at ({lam}, {mu})" for lam, mu, v in product.items() if v < 0}
     assert negative
     with pytest.raises(InternalInconsistencyError) as exc:
         a_matrix(a, t, n)
@@ -135,7 +135,7 @@ def test_b_matrix_roundtrip():
         b = b_matrix(t, 4)
         assert b.is_unitriangular()
         assert b.mul(D_matrix(t, 4)) == B_matrix(4)
-        assert all(v >= 0 for v in b.entries.values())
+        assert all(v >= 0 for _, _, v in b.items())
 
 
 def test_b_matrix_generic():
@@ -152,7 +152,7 @@ def test_rows_do_not_depend_on_the_truncation():
         for n in range(top + 1):
             d_inv = D_inverse(t, n)
             assert D_matrix(t, n).mul(d_inv) == BipartitionMatrix.identity(n)
-            inv_rows, b_rows = d_inv.rows(), b_matrix(t, n).rows()
+            inv_rows, b_rows = d_inv.rows, b_matrix(t, n).rows
             for lam in bipartitions_up_to(n):
                 assert inv_rows[lam] == inverse[lam]
                 assert b_rows[lam] == b[lam]

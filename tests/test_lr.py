@@ -87,7 +87,7 @@ def test_b_entry():
 def test_b_matrix_unitriangular():
     b = B_matrix(4)
     assert b.is_unitriangular()
-    for (lam, mu), v in b.entries.items():
+    for lam, mu, v in b.items():
         assert v > 0
         assert lam.size - mu.size == (lam.black.size - mu.black.size) * 2
 
@@ -101,9 +101,9 @@ def test_b_matrix_matches_b_entry_over_all_pairs(n):
         for mu in index:
             v = B_entry(lam, mu)
             if v:
-                reference.entries[(lam, mu)] = v
+                reference.set(lam, mu, v)
     generated = B_matrix(n)
-    assert generated.entries == reference.entries
+    assert generated.rows == reference.rows
     assert generated.to_json() == reference.to_json()
 
 
@@ -114,7 +114,7 @@ def test_b_matrix_multiplies_coefficients_above_one():
     lam = Bipartition.of((3, 2, 1), (3, 2, 1))
     b = B_matrix(n)
     assert b.get(lam, mu) == B_entry(lam, mu) == 2 * 2 + 1 + 1
-    column = {row: v for (row, col), v in b.entries.items() if col == mu}
+    column = {row: v for row, col, v in b.items() if col == mu}
     reference = {row: B_entry(row, mu) for row in bipartitions_up_to(n)}
     assert column == {row: v for row, v in reference.items() if v}
 

@@ -38,8 +38,8 @@ def test_above_diagonal_reports_extra_entries_in_index_order(monkeypatch):
     def a_matrix(a, t, n, family=None):
         m = real(a, t, n, family)
         if (a, t) == (0, 0):
-            m.entries[(VAC, Bipartition.of((2,), ()))] = 1
-            m.entries[(VAC, Bipartition.of((1, 1), ()))] = 1
+            m.set(VAC, Bipartition.of((2,), ()), 1)
+            m.set(VAC, Bipartition.of((1, 1), ()), 1)
         return m
 
     monkeypatch.setattr(grothendieck, "a_matrix", a_matrix)
@@ -57,7 +57,7 @@ def test_matrix_commutators_report_dropped_entry(monkeypatch):
     def e_tilde(a, t, n, family=None):
         m = real(a, t, n, family)
         if (a, t) == (0, 0):
-            del m.entries[(Bipartition.of((1,), ()), VAC)]
+            m.set(Bipartition.of((1,), ()), VAC, 0)
         return m
 
     monkeypatch.setattr(grothendieck, "e_tilde", e_tilde)
@@ -103,7 +103,7 @@ def test_matrix_commutators_report_first_offending_column(monkeypatch):
     def e_tilde(a, t, n, family=None):
         m = real(a, t, n, family)
         if (a, t) == (1, 0):
-            m.entries[(VAC, Bipartition.of((), (1,)))] = 1
+            m.set(VAC, Bipartition.of((), (1,)), 1)
         return m
 
     monkeypatch.setattr(grothendieck, "e_tilde", e_tilde)
@@ -120,8 +120,8 @@ def test_above_diagonal_ignores_equal_sizes_and_counts_below(monkeypatch):
     def a_matrix(a, t, n, family=None):
         m = real(a, t, n, family)
         if (a, t) == (0, 0):
-            m.entries[(Bipartition.of((1,), ()), Bipartition.of((), (1,)))] = 1
-            m.entries[(Bipartition.of((2,), ()), VAC)] = 1
+            m.set(Bipartition.of((1,), ()), Bipartition.of((), (1,)), 1)
+            m.set(Bipartition.of((2,), ()), VAC, 1)
         return m
 
     monkeypatch.setattr(grothendieck, "a_matrix", a_matrix)
@@ -141,14 +141,16 @@ def test_dimension_oracle_reports_dropped_entry(monkeypatch):
     real = caps.D_matrix
 
     def D_matrix(t, n):
-        m = BipartitionMatrix(n, dict(real(t, n).entries))
+        m = BipartitionMatrix(n, dict(real(t, n).rows))
         if t == 0:
-            del m.entries[(ONE, VAC)]
+            m.rows[ONE] = dict(m.rows[ONE])  # D's rows are lift_row's own: edit a copy
+            m.set(ONE, VAC, 0)
         return m
 
     monkeypatch.setattr(caps, "D_matrix", D_matrix)
     res = verify.check_dimension_oracle(SMALL)
     assert res.failures == ["dimension sum -1 != 0: [[1],[1]], t=0"]
+    assert VAC in caps.lift_row(ONE, 0)  # the defect did not reach the shared row
 
 
 def _lagrange_at(low, values, m):
@@ -273,14 +275,14 @@ def test_stability_reports_row_defects_like_triple_loop(monkeypatch):
     lam = Bipartition.of((1,), ())
 
     def lift_row(row_lam, t):
-        row = set(real(row_lam, t))
+        row = dict(real(row_lam, t))
         if row_lam == lam and t == -6:
-            row.discard(lam)
+            row.pop(lam, None)
         if row_lam == lam and t in (5, 7):
-            row |= {VAC, ONE, Bipartition.of((2, 1), (1,)), Bipartition.of((5,), ())}
+            row.update(dict.fromkeys([VAC, ONE, Bipartition.of((2, 1), (1,)), Bipartition.of((5,), ())], 1))
         if row_lam == ONE and t == 9:
-            row.add(Bipartition.of((), (1,)))
-        return frozenset(row)
+            row[Bipartition.of((), (1,))] = 1
+        return row
 
     monkeypatch.setattr(caps, "lift_row", lift_row)
     got = verify.check_stability(verify.VerifyConfig())
