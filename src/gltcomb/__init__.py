@@ -5,7 +5,6 @@ matrices and Fock-space actions."""
 from .partitions import (
     Bipartition,
     Partition,
-    bipartition_neighbors,
     bipartitions_up_to,
     n_weight,
     partitions_of,
@@ -18,13 +17,12 @@ from .diagrams import (
     WeightDiagram,
     build_diagram,
     core_key,
-    core_of,
     same_core,
     stable_window,
     symbol_at,
 )
-from .caps import CapDiagram, D_inverse, D_matrix, build_caps, lift_row, mult_D
-from .lr import B_entry, B_matrix, lr_coeff, schur_product_oracle
+from .caps import D_inverse, D_matrix, lift_row, mult_D
+from .lr import B_matrix, lr_coeff, schur_product_oracle
 from .fock import (
     Mode,
     apply_generator,
@@ -50,7 +48,6 @@ from .matrices import BipartitionMatrix
 __all__ = [
     "Bipartition",
     "Partition",
-    "bipartition_neighbors",
     "bipartitions_up_to",
     "n_weight",
     "partitions_of",
@@ -61,17 +58,13 @@ __all__ = [
     "WeightDiagram",
     "build_diagram",
     "core_key",
-    "core_of",
     "same_core",
     "stable_window",
     "symbol_at",
-    "CapDiagram",
     "D_inverse",
     "D_matrix",
-    "build_caps",
     "lift_row",
     "mult_D",
-    "B_entry",
     "B_matrix",
     "lr_coeff",
     "schur_product_oracle",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -11,34 +10,13 @@ from .diagrams import (
     CROSS,
     FAMILY_DPRIME,
     ParamT,
-    WeightDiagram,
     _symbol_run,
-    build_diagram,
     diagram_to_bipartition,
     is_generic,
     stable_window,
 )
 from .matrices import BipartitionMatrix
 from .partitions import Bipartition, bipartitions_up_to
-
-
-@dataclass(frozen=True)
-class CapDiagram:
-    """The caps of a weight diagram, each a (circle, cross) pair with the
-    circle on the left, as cap_scan finds them.
-
-    The left tail is all crosses and the right tail all circles, so every cap
-    lies inside the stable window."""
-
-    base: WeightDiagram
-    caps: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "diagram": self.base.to_json(),
-            "window": list(self.base.window),
-            "caps": [list(c) for c in self.caps],
-        }
 
 
 def cap_scan(symbols: str, left: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
@@ -65,27 +43,16 @@ def cap_scan(symbols: str, left: int) -> tuple[list[tuple[int, int]], list[int],
     return caps, unmatched, stack
 
 
-def scan_matching(symbols: list[str], offset: int = 0) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+def scan_matching(symbols: list[str], offset: int = 0) -> tuple[list[tuple[int, int]], list[int]]:
     """The nearest-unmatched parenthesis scan read left to right, where a
     cross opens and a circle closes: cap_scan on the mirrored sequence.
 
-    Returns (caps as (cross, circle) pairs, circles matched to the outside,
-    unclosed cross positions), positions offset so the first symbol sits at
-    `offset`."""
+    Returns (caps as (cross, circle) pairs, unclosed cross positions),
+    positions offset so the first symbol sits at `offset`."""
     # Position p of the mirror is -p here, so the mirror's cap (circle, cross)
     # is the cap (-cross, -circle) read left to right.
-    caps, outside, stack = cap_scan("".join(reversed(symbols)), 1 - offset - len(symbols))
-    return sorted((-r, -l) for l, r in caps), [-p for p in outside], [-p for p in stack]
-
-
-@lru_cache(maxsize=None)
-def build_caps(lam: Bipartition, t: int) -> CapDiagram:
-    """The caps of dprime of lam on its stable window."""
-    if is_generic(t):
-        raise ValueError("cap diagrams require integer t")
-    base = build_diagram(lam, t, FAMILY_DPRIME)
-    caps, _, _ = cap_scan(base.symbols, base.window[0])
-    return CapDiagram(base, tuple(caps))
+    caps, _, stack = cap_scan("".join(reversed(symbols)), 1 - offset - len(symbols))
+    return sorted((-r, -l) for l, r in caps), [-p for p in stack]
 
 
 @lru_cache(maxsize=None)

@@ -87,9 +87,10 @@ def cmd_diagram(args) -> int:
 def cmd_caps(args) -> int:
     lam = _parse_bipartition(args.bipartition)
     t = _require_int_t(_parse_t(args.t))
-    cap_diag = caps_mod.build_caps(lam, t)
-    lines = [cap_diag.base.render(), "caps: " + " ".join(f"({l},{r})" for l, r in cap_diag.caps)]
-    _emit(args, "\n".join(lines), cap_diag.to_json())
+    d = diag_mod.build_diagram(lam, t, diag_mod.FAMILY_DPRIME)
+    caps, _, _ = caps_mod.cap_scan(d.symbols, d.window[0])
+    lines = [d.render(), "caps: " + " ".join(f"({l},{r})" for l, r in caps)]
+    _emit(args, "\n".join(lines), {"diagram": d.to_json(), "window": list(d.window), "caps": [list(c) for c in caps]})
     return 0
 
 
@@ -183,6 +184,8 @@ def _parse_mode(args) -> fock_mod.Mode:
     if kind == "wedge":
         if args.n is None:
             raise CliError("wedge mode needs --n")
+        if args.n < 1:
+            raise CliError("--n must be at least 1")
         return fock_mod.Mode.wedge(args.n)
     raise CliError(f"unknown mode {kind!r}")
 

@@ -8,7 +8,7 @@ C' = {black_i + t - i} and D' = Z minus {i - white_i - 1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -99,21 +99,14 @@ class WeightDiagram:
     family: str
     window: tuple[int, int]
     symbols: str
-    cored: bool = False
 
     def symbol(self, s: int) -> str:
         left, right = self.window
         if left <= s <= right:
-            sym = self.symbols[s - left]
-        elif is_generic(self.t):
-            sym = symbol_at(self.source, self.t, self.family, s)
-        elif s < left:
-            sym = CROSS
-        else:
-            sym = CIRC
-        if self.cored and sym == CROSS:
-            return CIRC
-        return sym
+            return self.symbols[s - left]
+        if is_generic(self.t):
+            return symbol_at(self.source, self.t, self.family, s)
+        return CROSS if s < left else CIRC
 
     def render(self) -> str:
         """Symbols over position labels, one column per position."""
@@ -153,12 +146,6 @@ def _generic_window(lam: Bipartition, family: str) -> tuple[int, int]:
     return (min(-lw.row(1), 0) - 1, max(lw.length, 0))
 
 
-def core_of(d: WeightDiagram) -> WeightDiagram:
-    """Replace every cross with a circle; idempotent."""
-    cored_symbols = d.symbols.replace(CROSS, CIRC)
-    return replace(d, symbols=cored_symbols, cored=True)
-
-
 def core_key(lam: Bipartition, t: int, family: str = FAMILY_DPRIME) -> tuple[tuple[int, str], ...]:
     """The core of lam's weight diagram as a hashable key: the (position,
     symbol) pairs of its '>' and '<' symbols, for integer t.
@@ -185,16 +172,10 @@ def same_core(lam: Bipartition, mu: Bipartition, t: ParamT, family: str = FAMILY
     """Whether the cores of the two weight diagrams agree at every integer."""
     if not is_generic(t):
         return core_key(lam, t, family) == core_key(mu, t, family)
-    # The off-lattice C-track carries '>' symbols at positions t + (black_i - i);
-    # equal cores force equal black beta-sets, i.e. equal black partitions.
-    if lam.black != mu.black:
-        return False
-    dl = build_diagram(lam, t, family)
-    dm = build_diagram(mu, t, family)
-    left = min(dl.window[0], dm.window[0])
-    right = max(dl.window[1], dm.window[1])
-    cl, cm = core_of(dl), core_of(dm)
-    return all(cl.symbol(s) == cm.symbol(s) for s in range(left, right + 1))
+    # At generic t the C-track lies off the lattice: its '>' symbols at
+    # t + (black_i - i) pin the black partition, and the lattice has no
+    # crosses to core, so its symbols pin the white one.
+    return lam == mu
 
 
 def diagram_to_bipartition(symbols: dict[int, str], t: int, family: str = FAMILY_DPRIME) -> Bipartition:

@@ -219,19 +219,6 @@ def partition_to_sequence(nu: Partition, n: int) -> tuple[int, ...]:
     return tuple(nu.row(i) - (i - 1) for i in range(1, n + 1))
 
 
-def sequence_to_partition(seq: tuple[int, ...]) -> Optional[Partition]:
-    """Inverse of partition_to_sequence when the tail is vacuum; None if the
-    implied rows are not a partition."""
-    rows = [v + i for i, v in enumerate(seq)]
-    while rows and rows[-1] == 0:
-        rows.pop()
-    if any(r < 0 for r in rows) or any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-        return None
-    if rows and rows[-1] == 0:
-        return None
-    return Partition(tuple(rows))
-
-
 def energy(arg) -> Optional[int]:
     """Energy of a wedge basis sequence, or |nu| on the partition basis.
     Returns None for sequences outside every filtration piece."""

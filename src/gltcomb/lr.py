@@ -138,18 +138,6 @@ def schur_product_oracle(mu: Partition, kappa: Partition, nvars: int) -> dict[Pa
     return {lam: result[lam] for lam in sorted(result, reverse=True)}
 
 
-def B_entry(lam: Bipartition, mu: Bipartition) -> int:
-    """Sum over kappa of lr(black lam; black mu, kappa) * lr(white lam; white mu, kappa)."""
-    d_black = lam.black.size - mu.black.size
-    d_white = lam.white.size - mu.white.size
-    if d_black != d_white or d_black < 0:
-        return 0
-    return sum(
-        lr_coeff(lam.black, mu.black, kappa) * lr_coeff(lam.white, mu.white, kappa)
-        for kappa in partitions_of(d_black)
-    )
-
-
 def _lr_terms(mu: Partition, kappa: Partition) -> list[tuple[Partition, int]]:
     """The nonzero terms (lam, c) of s_mu * s_kappa."""
     terms = ((lam, lr_coeff(lam, mu, kappa)) for lam in partitions_of(mu.size + kappa.size))
@@ -162,7 +150,8 @@ def B_matrix(n: int) -> BipartitionMatrix:
 
     Generated from each column mu: for every kappa with |mu| + 2|kappa| <= n,
     the terms of s_{mu black} * s_kappa and s_{mu white} * s_kappa pair up
-    into the entries B((alpha, beta), mu), which is B_entry summed term by term."""
+    into the entry B((alpha, beta), mu), the sum over kappa of
+    lr(alpha; mu black, kappa) * lr(beta; mu white, kappa)."""
     # Columns sharing a black or a white part expand the same products.
     lr_terms = cache(_lr_terms)
     m = BipartitionMatrix(n)

@@ -186,30 +186,6 @@ class Bipartition:
 
 VACUUM = Bipartition()
 
-BLACK_ADD = "black-add"
-BLACK_REMOVE = "black-remove"
-WHITE_ADD = "white-add"
-WHITE_REMOVE = "white-remove"
-
-
-def bipartition_neighbors(lam: Bipartition, a, kind: str) -> frozenset[Bipartition]:
-    """The set lam +- (black or white) box of content a; empty for non-integer a."""
-    if not isinstance(a, int) or isinstance(a, bool):
-        return frozenset()
-    if kind == BLACK_ADD:
-        nu = lam.black.add_box(a)
-        return frozenset() if nu is None else frozenset({Bipartition(nu, lam.white)})
-    if kind == BLACK_REMOVE:
-        nu = lam.black.remove_box(a)
-        return frozenset() if nu is None else frozenset({Bipartition(nu, lam.white)})
-    if kind == WHITE_ADD:
-        nu = lam.white.add_box(a)
-        return frozenset() if nu is None else frozenset({Bipartition(lam.black, nu)})
-    if kind == WHITE_REMOVE:
-        nu = lam.white.remove_box(a)
-        return frozenset() if nu is None else frozenset({Bipartition(lam.black, nu)})
-    raise ValueError(f"unknown neighbor kind {kind!r}")
-
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:

@@ -147,10 +147,11 @@ def cap_move_pair(rng: random.Random, t: int, max_size: int) -> tuple[Bipartitio
     """A random bipartition and a partner obtained by swapping the ends of a
     random subset of its caps (cross moves preserve the core)."""
     lam = Bipartition(_random_partition(rng, max_size), _random_partition(rng, max_size))
-    cap_diag = caps_mod.build_caps(lam, t)
-    left, right = cap_diag.base.window
-    symbols = {s: cap_diag.base.symbol(s) for s in range(left, right + 1)}
-    for l, r in cap_diag.caps:
+    left, right = diag_mod.stable_window(lam, t, FAMILY_DPRIME)
+    run = diag_mod._symbol_run(lam, t, FAMILY_DPRIME, left, right)
+    caps, _, _ = caps_mod.cap_scan(run, left)
+    symbols = dict(zip(range(left, right + 1), run))
+    for l, r in caps:
         if rng.random() < 0.5:
             symbols[l], symbols[r] = CROSS, CIRC
     mu = diag_mod.diagram_to_bipartition(symbols, t, FAMILY_DPRIME)
@@ -349,14 +350,14 @@ def check_matching_uniqueness(cfg: VerifyConfig, diagrams: int | None = None) ->
     for _ in range(target):
         length = rng.randrange(4, 11)
         symbols = [rng.choice([CROSS, CIRC, "<", ">"]) for _ in range(length)]
-        _, _, open_crosses = caps_mod.scan_matching(symbols)
+        _, open_crosses = caps_mod.scan_matching(symbols)
         symbols += [CIRC] * len(open_crosses)
         if len(symbols) > 12:
             symbols = symbols[:12]
-            _, _, open_crosses = caps_mod.scan_matching(symbols)
+            _, open_crosses = caps_mod.scan_matching(symbols)
             symbols += [CIRC] * len(open_crosses)
         res.instances += 1
-        scan_caps, _, _ = caps_mod.scan_matching(symbols)
+        scan_caps, _ = caps_mod.scan_matching(symbols)
         matchings = _enumerate_matchings(symbols)
         if len(matchings) != 1 or matchings[0] != tuple(sorted(scan_caps)):
             res.failures.append(f"matching not unique/nearest for {''.join(symbols)}")

@@ -3,8 +3,8 @@ from itertools import combinations
 import pytest
 
 from gltcomb import caps
-from gltcomb.caps import D_inverse, D_matrix, build_caps, inverse_row, lift_row, mult_D, scan_matching
-from gltcomb.diagrams import FAMILY_DPRIME, GENERIC, diagram_to_bipartition
+from gltcomb.caps import D_inverse, D_matrix, cap_scan, inverse_row, lift_row, mult_D, scan_matching
+from gltcomb.diagrams import FAMILY_DPRIME, GENERIC, build_diagram, diagram_to_bipartition
 from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, bipartitions_up_to
 
@@ -12,24 +12,30 @@ VAC = Bipartition.of((), ())
 ONE = Bipartition.of((1,), (1,))
 
 
+def _caps_of(lam, t):
+    """lam's dprime diagram and its caps, as cap_scan reads them."""
+    d = build_diagram(lam, t, FAMILY_DPRIME)
+    return d, tuple(cap_scan(d.symbols, d.window[0])[0])
+
+
 def test_scan_matching_basic():
-    caps, outside, open_crosses = scan_matching(list("xoxo"))
+    caps, open_crosses = scan_matching(list("xoxo"))
     assert caps == [(0, 1), (2, 3)]
-    assert outside == []
     assert open_crosses == []
 
 
 def test_scan_matching_nested_and_outside():
-    caps, outside, open_crosses = scan_matching(list("oxxoo"))
+    caps, open_crosses = scan_matching(list("oxxoo"))
     assert caps == [(1, 4), (2, 3)]
-    assert outside == [0]
     assert open_crosses == []
-    _, _, leftover = scan_matching(list("xxo"))
+    # cap_scan, reading the mirror "ooxxo" at -4..0, leaves the circle at 0 unclosed
+    assert cap_scan("ooxxo", -4)[1] == [0]
+    _, leftover = scan_matching(list("xxo"))
     assert leftover == [0]
 
 
 def test_scan_matching_ignores_arrows():
-    caps, _, _ = scan_matching(list("x><o"))
+    caps, _ = scan_matching(list("x><o"))
     assert caps == [(0, 3)]
 
 
@@ -41,14 +47,9 @@ def test_lambda_cap_goldens():
         "[[2,1],[2,1]]": ((-2, -1), (0, 1)),
     }
     for lam, caps in goldens.items():
-        assert build_caps(Bipartition.parse(lam), 0).caps == caps
+        assert _caps_of(Bipartition.parse(lam), 0)[1] == caps
     row = {"[[2,2],[2,2]]", "[[2,1],[2,1]]", "[[1],[1]]", "[[],[]]"}
     assert lift_row(Bipartition.parse("[[2,2],[2,2]]"), 0).keys() == {Bipartition.parse(s) for s in row}
-
-
-def test_caps_require_integer_t():
-    with pytest.raises(ValueError):
-        build_caps(VAC, GENERIC)
 
 
 def test_worked_multiplicity_example():
@@ -142,12 +143,6 @@ def test_d_matrix_generic_is_identity():
     assert D_matrix(GENERIC, 3) == BipartitionMatrix.identity(3)
 
 
-def test_cap_json():
-    payload = build_caps(ONE, 0).to_json()
-    assert "caps" in payload and "window" in payload
-    assert all(len(c) == 2 for c in payload["caps"])
-
-
 def _reference_scan(symbols, offset=0):
     """The left-to-right parenthesis scan cap_scan replaced, kept as an
     independent reference: a cross opens and a circle closes."""
@@ -162,22 +157,23 @@ def _reference_scan(symbols, offset=0):
 
 def _reference_caps(lam, t):
     """lam's caps by the reference scan run on its mirrored diagram."""
-    base = build_caps(lam, t).base
+    base = build_diagram(lam, t, FAMILY_DPRIME)
     found = _reference_scan(list(reversed(base.symbols)), offset=-base.window[1])
     return tuple(sorted((-r, -l) for l, r in found))
 
 
 def _reference_row(lam, t):
-    """A row of D built through the cap diagram: build_caps, the symbol of
-    every window position, then diagram_to_bipartition for every subset."""
+    """A row of D built through the cap diagram: build_diagram's dprime
+    window and cap_scan's caps, the symbol of every window position, then
+    diagram_to_bipartition for every subset."""
     if t == GENERIC:
         return {lam: 1}
-    cap_diag = build_caps(lam, t)
-    left, right = cap_diag.base.window
-    base = {s: cap_diag.base.symbol(s) for s in range(left, right + 1)}
+    diagram, caps = _caps_of(lam, t)
+    left, right = diagram.window
+    base = {s: diagram.symbol(s) for s in range(left, right + 1)}
     row = {lam: 1}
-    for k in range(1, len(cap_diag.caps) + 1):
-        for moved in combinations(cap_diag.caps, k):
+    for k in range(1, len(caps) + 1):
+        for moved in combinations(caps, k):
             symbols = dict(base)
             for l, r in moved:
                 symbols[l], symbols[r] = "x", "o"
@@ -192,4 +188,4 @@ def test_lift_row_matches_the_cap_diagram_construction():
             row, want = lift_row(lam, t), _reference_row(lam, t)
             assert row == want and list(row) == list(want), (lam, t)
             if t != GENERIC:
-                assert build_caps(lam, t).caps == _reference_caps(lam, t), (lam, t)
+                assert _caps_of(lam, t)[1] == _reference_caps(lam, t), (lam, t)

@@ -41,6 +41,17 @@ def test_caps_output(capsys):
     assert "(-1,0)" in out
 
 
+def test_caps_json_payload(capsys):
+    code, out, _ = run(capsys, "caps", "--format", "json", "--t", "0", "[[2,2],[2,2]]")
+    assert code == 0
+    want = {
+        "caps": [[-2, 1], [-1, 0]],
+        "diagram": {"family": "dprime", "symbols": "xooxxo", "t": 0, "window": [-3, 2]},
+        "window": [-3, 2],
+    }
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_mult_values(capsys):
     code, out, _ = run(capsys, "mult", "--t", "0", "[[1],[1]]", "[[],[]]")
     assert code == 0
@@ -138,6 +149,15 @@ def test_fock_zero_result(capsys):
     code, out, _ = run(capsys, "fock", "--mode", "plain", "e0", "[]")
     assert code == 0
     assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_fock_wedge_length_below_one_exits_2(capsys, n):
+    code, out, err = run(capsys, "fock", "--mode", "wedge", "--n", n, "f0", "(1)")
+    assert code == 2
+    assert out == ""
+    assert "--n must be at least 1" in err
+    assert "Traceback" not in err
 
 
 def test_lr(capsys):

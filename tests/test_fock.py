@@ -12,7 +12,6 @@ from gltcomb.fock import (
     partition_to_sequence,
     phi_n,
     pi_n,
-    sequence_to_partition,
     wedge_basis,
 )
 from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to, n_weight, partitions_up_to
@@ -113,7 +112,6 @@ def test_sequences_and_energy():
     nu = P(2, 1)
     seq = partition_to_sequence(nu, 3)
     assert seq == (2, 0, -2)
-    assert sequence_to_partition(seq) == nu
     assert energy(nu) == 3
     assert energy(seq) == 3
     assert energy(partition_to_sequence(P(), 4)) == 0

@@ -2,11 +2,24 @@ from functools import cache
 
 import pytest
 
-from gltcomb.lr import B_entry, B_matrix, lr_coeff, schur_polynomial, schur_product_oracle
+from gltcomb.lr import B_matrix, lr_coeff, schur_polynomial, schur_product_oracle
 from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to, partitions_of, partitions_up_to
 
 P = Partition.of
+
+
+def B_entry(lam, mu):
+    """The reference for B_matrix, one entry at a time: the sum over kappa of
+    lr(black lam; black mu, kappa) * lr(white lam; white mu, kappa)."""
+    d_black = lam.black.size - mu.black.size
+    d_white = lam.white.size - mu.white.size
+    if d_black != d_white or d_black < 0:
+        return 0
+    return sum(
+        lr_coeff(lam.black, mu.black, kappa) * lr_coeff(lam.white, mu.white, kappa)
+        for kappa in partitions_of(d_black)
+    )
 
 
 def test_pieri_row():

@@ -8,13 +8,10 @@ from hypothesis import given, strategies as st
 from gltcomb.partitions import (
     Bipartition,
     Partition,
-    bipartition_neighbors,
     bipartitions_up_to,
     n_weight,
     partitions_of,
     partitions_up_to,
-    BLACK_ADD,
-    WHITE_REMOVE,
 )
 
 
@@ -123,17 +120,6 @@ def test_bipartitions_up_to_sorted_and_complete():
     sizes = [bp.size for bp in index]
     assert sizes == sorted(sizes)
     assert len(set(index)) == len(index)
-
-
-def test_neighbors():
-    lam = Bipartition.of((1,), (1,))
-    assert bipartition_neighbors(lam, 1, BLACK_ADD) == frozenset(
-        [Bipartition.of((2,), (1,))]
-    )
-    assert bipartition_neighbors(lam, 0, WHITE_REMOVE) == frozenset(
-        [Bipartition.of((1,), ())]
-    )
-    assert bipartition_neighbors(lam, 5, BLACK_ADD) == frozenset()
 
 
 def test_json_roundtrip():

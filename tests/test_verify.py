@@ -329,7 +329,7 @@ def test_run_all_reports_a_content_missing_from_a_box_table():
     assert {"partitions.corner-count", "partitions.add-remove-inverse", "fock.commutators"} <= failing
 
 
-# lift_row, build_caps and scan_matching all read caps.cap_scan, so one cap
+# lift_row, cap_move_pair and scan_matching all read caps.cap_scan, so one cap
 # dropped by the scan must show in run_all's dimension oracle and in the
 # matching-uniqueness check, both in a fresh interpreter as above.
 DROPPED_CAP = """
