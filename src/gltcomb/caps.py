@@ -19,40 +19,25 @@ from .matrices import BipartitionMatrix
 from .partitions import Bipartition, bipartitions_up_to
 
 
-def cap_scan(symbols: str, left: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+def cap_scan(symbols: str, left: int) -> tuple[list[tuple[int, int]], list[int]]:
     """The one cap scan: the symbols at positions left, left + 1, ... read
     right to left, where a cross opens a cap and a circle closes the nearest
-    open cross to its right.  Arrows are skipped.
+    open cross to its right.  Arrows and circles that close nothing are
+    skipped.
 
-    Returns (the caps as (circle, cross) pairs, ascending; the circles that
-    close nothing, right to left; the crosses left open, right to left)."""
+    Returns (the caps as (circle, cross) pairs, ascending; the crosses left
+    open, right to left)."""
     stack: list[int] = []
     caps: list[tuple[int, int]] = []
-    unmatched: list[int] = []
     pos = left + len(symbols)
     for sym in reversed(symbols):
         pos -= 1
         if sym == CROSS:
             stack.append(pos)
-        elif sym == CIRC:
-            if stack:
-                caps.append((pos, stack.pop()))
-            else:
-                unmatched.append(pos)
+        elif sym == CIRC and stack:
+            caps.append((pos, stack.pop()))
     caps.reverse()  # closed right to left, so by descending circle
-    return caps, unmatched, stack
-
-
-def scan_matching(symbols: list[str], offset: int = 0) -> tuple[list[tuple[int, int]], list[int]]:
-    """The nearest-unmatched parenthesis scan read left to right, where a
-    cross opens and a circle closes: cap_scan on the mirrored sequence.
-
-    Returns (caps as (cross, circle) pairs, unclosed cross positions),
-    positions offset so the first symbol sits at `offset`."""
-    # Position p of the mirror is -p here, so the mirror's cap (circle, cross)
-    # is the cap (-cross, -circle) read left to right.
-    caps, _, stack = cap_scan("".join(reversed(symbols)), 1 - offset - len(symbols))
-    return sorted((-r, -l) for l, r in caps), [-p for p in stack]
+    return caps, stack
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +51,7 @@ def lift_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
         return {lam: 1}
     left, right = stable_window(lam, t, FAMILY_DPRIME)
     symbols = _symbol_run(lam, t, FAMILY_DPRIME, left, right)
-    caps, _, _ = cap_scan(symbols, left)
+    caps, _ = cap_scan(symbols, left)
     row = {lam: 1}
     if not caps:
         return row

@@ -88,7 +88,7 @@ def cmd_caps(args) -> int:
     lam = _parse_bipartition(args.bipartition)
     t = _require_int_t(_parse_t(args.t))
     d = diag_mod.build_diagram(lam, t, diag_mod.FAMILY_DPRIME)
-    caps, _, _ = caps_mod.cap_scan(d.symbols, d.window[0])
+    caps, _ = caps_mod.cap_scan(d.symbols, d.window[0])
     lines = [d.render(), "caps: " + " ".join(f"({l},{r})" for l, r in caps)]
     _emit(args, "\n".join(lines), {"diagram": d.to_json(), "window": list(d.window), "caps": [list(c) for c in caps]})
     return 0

@@ -158,16 +158,6 @@ def core_key(lam: Bipartition, t: int, family: str = FAMILY_DPRIME) -> tuple[tup
     return tuple((left + k, sym) for k, sym in enumerate(symbols) if sym in (GT, LT))
 
 
-def core_blocks(index, t: int) -> dict[Bipartition, list[Bipartition]]:
-    """Each member of index mapped to its core block: the members with the
-    same core, in index order, for integer t."""
-    keys = {bp: core_key(bp, t) for bp in index}
-    blocks: dict[tuple, list[Bipartition]] = {}
-    for bp in index:
-        blocks.setdefault(keys[bp], []).append(bp)
-    return {bp: blocks[keys[bp]] for bp in index}
-
-
 def same_core(lam: Bipartition, mu: Bipartition, t: ParamT, family: str = FAMILY_DPRIME) -> bool:
     """Whether the cores of the two weight diagrams agree at every integer."""
     if not is_generic(t):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from math import prod
 
 from . import caps as caps_mod
 from . import diagrams as diag_mod
@@ -144,18 +144,11 @@ def _random_partition(rng: random.Random, max_size: int) -> Partition:
 
 
 def cap_move_pair(rng: random.Random, t: int, max_size: int) -> tuple[Bipartition, Bipartition]:
-    """A random bipartition and a partner obtained by swapping the ends of a
-    random subset of its caps (cross moves preserve the core)."""
+    """A random bipartition and a partner drawn uniformly from its row of
+    D(t), one per subset of its caps, so each subset of cap moves is equally
+    likely (cross moves preserve the core)."""
     lam = Bipartition(_random_partition(rng, max_size), _random_partition(rng, max_size))
-    left, right = diag_mod.stable_window(lam, t, FAMILY_DPRIME)
-    run = diag_mod._symbol_run(lam, t, FAMILY_DPRIME, left, right)
-    caps, _, _ = caps_mod.cap_scan(run, left)
-    symbols = dict(zip(range(left, right + 1), run))
-    for l, r in caps:
-        if rng.random() < 0.5:
-            symbols[l], symbols[r] = CROSS, CIRC
-    mu = diag_mod.diagram_to_bipartition(symbols, t, FAMILY_DPRIME)
-    return lam, mu
+    return lam, rng.choice(list(caps_mod.lift_row(lam, t)))
 
 
 def check_equal_cores_weights(cfg: VerifyConfig, pairs: int | None = None) -> CheckResult:
@@ -262,35 +255,39 @@ def _weyl_dim(lam: Bipartition, m: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
-def _dim_polynomial(nu: Bipartition) -> tuple[int, tuple[int, ...]]:
-    """The generic dimension polynomial P_nu, of degree |nu| in the rank, as
-    its values at the ranks L, ..., L + |nu| with L = l(black) + l(white)."""
-    low = nu.black.length + nu.white.length
-    return low, tuple(_weyl_dim(nu, low + k) for k in range(nu.size + 1))
-
-
-@lru_cache(maxsize=None)
 def _dim_polynomial_at(nu: Bipartition, m: int) -> int:
-    """P_nu(m) by Newton's forward differences at L: the sum of
-    Delta^k P_nu(L) * binomial(m - L, k), all in integers."""
-    low, values = _dim_polynomial(nu)
-    diffs = list(values)
-    x = m - low
-    total, binom = 0, 1
-    for k in range(len(values)):
-        total += diffs[0] * binom
-        # binomial(x, k + 1) = binomial(x, k) * (x - k) / (k + 1), exactly
-        binom = binom * (x - k) // (k + 1)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return total
+    """P_nu(m), the generic dimension polynomial of the standard of nu, by El
+    Samra-King's product (J. Phys. A 12, 1979): for each part, the factors
+    m + c over its box contents c divided by its hook lengths; times, for each
+    row i of black and j of white, with x = m + 1 - i - j,
+    (x + black_i + white_j) x / ((x + black_i)(x + white_j)).  Every factor
+    is a nonzero constant or monic linear in m, so at an integer m the
+    vanishing ones cancel in pairs: P_nu(m) is 0 when the numerator has more
+    of them, and otherwise the exact quotient of the nonzero factors."""
+    num: list[int] = []
+    den: list[int] = []
+    for part in (nu.black, nu.white):
+        cols = part.transpose().rows
+        for i, row in enumerate(part.rows, start=1):
+            for j in range(1, row + 1):
+                num.append(m + j - i)
+                den.append(row - j + cols[j - 1] - i + 1)
+    for i, a in enumerate(nu.black.rows, start=1):
+        for j, b in enumerate(nu.white.rows, start=1):
+            x = m + 1 - i - j
+            num += (x + a + b, x)
+            den += (x + a, x + b)
+    if num.count(0) > den.count(0):
+        return 0
+    return prod(f for f in num if f) // prod(f for f in den if f)
 
 
 def check_dimension_oracle(cfg: VerifyConfig) -> CheckResult:
     """Deligne's functor at t = m >= 0 sends the tilting of lam to V_m(lam),
     or to 0 when l(black) + l(white) > m, and a standard of nu has dimension
     P_nu(m); so each row of D(m) must weigh the P_nu to dim V_m(lam).  The
-    dimensions come from Weyl's formula alone, with no cap diagram."""
+    dimensions come from Weyl's and El Samra-King's products, with no cap
+    diagram."""
     res = CheckResult("caps.dimension-oracle", 0)
     index = bipartitions_up_to(cfg.max_size)
     for m in cfg.t_values:
@@ -306,9 +303,9 @@ def check_dimension_oracle(cfg: VerifyConfig) -> CheckResult:
     return res
 
 
-def _enumerate_matchings(symbols: list[str]) -> list[tuple[tuple[int, int], ...]]:
-    """All matchings of every cross to a circle on its right satisfying the
-    non-crossing and covered-circle conditions."""
+def _enumerate_matchings(symbols: str) -> list[tuple[tuple[int, int], ...]]:
+    """All matchings of every cross to a circle on its left, as (circle,
+    cross) pairs, satisfying the non-crossing and covered-circle conditions."""
     xs = [i for i, s in enumerate(symbols) if s == CROSS]
     os = [i for i, s in enumerate(symbols) if s == CIRC]
     found: list[tuple[tuple[int, int], ...]] = []
@@ -318,10 +315,10 @@ def _enumerate_matchings(symbols: list[str]) -> list[tuple[tuple[int, int], ...]
             for c, d in caps[i + 1 :]:
                 if a < c < b < d or c < a < d < b:
                     return False
-        right_ends = {b for _, b in caps}
+        circles = {a for a, _ in caps}
         for a, b in caps:
             for p in range(a + 1, b):
-                if symbols[p] == CIRC and p not in right_ends:
+                if symbols[p] == CIRC and p not in circles:
                     return False
         return True
 
@@ -332,9 +329,9 @@ def _enumerate_matchings(symbols: list[str]) -> list[tuple[tuple[int, int], ...]
             return
         x = xs[k]
         for o in os:
-            if o > x and o not in used:
+            if o < x and o not in used:
                 used.add(o)
-                caps.append((x, o))
+                caps.append((o, x))
                 rec(k + 1, used, caps)
                 caps.pop()
                 used.remove(o)
@@ -349,32 +346,29 @@ def check_matching_uniqueness(cfg: VerifyConfig, diagrams: int | None = None) ->
     target = diagrams if diagrams is not None else cfg.random_diagrams
     for _ in range(target):
         length = rng.randrange(4, 11)
-        symbols = [rng.choice([CROSS, CIRC, "<", ">"]) for _ in range(length)]
-        _, open_crosses = caps_mod.scan_matching(symbols)
-        symbols += [CIRC] * len(open_crosses)
+        symbols = "".join(rng.choice([CROSS, CIRC, "<", ">"]) for _ in range(length))
+        _, open_crosses = caps_mod.cap_scan(symbols, 0)
+        symbols = CIRC * len(open_crosses) + symbols
         if len(symbols) > 12:
-            symbols = symbols[:12]
-            _, open_crosses = caps_mod.scan_matching(symbols)
-            symbols += [CIRC] * len(open_crosses)
+            symbols = symbols[-12:]
+            _, open_crosses = caps_mod.cap_scan(symbols, 0)
+            symbols = CIRC * len(open_crosses) + symbols
         res.instances += 1
-        scan_caps, _ = caps_mod.scan_matching(symbols)
+        scan_caps, _ = caps_mod.cap_scan(symbols, 0)
         matchings = _enumerate_matchings(symbols)
-        if len(matchings) != 1 or matchings[0] != tuple(sorted(scan_caps)):
-            res.failures.append(f"matching not unique/nearest for {''.join(symbols)}")
+        if len(matchings) != 1 or matchings[0] != tuple(scan_caps):
+            res.failures.append(f"matching not unique/nearest for {symbols}")
     return res
 
 
 def check_order_compatibility(cfg: VerifyConfig) -> CheckResult:
     res = CheckResult("caps.order-compatibility", 0)
     index = bipartitions_up_to(cfg.max_size)
+    pos = {bp: i for i, bp in enumerate(index)}
     for t in cfg.t_values:
-        # mult_D vanishes across cores, so only pairs inside a core block are
-        # tried; both size directions stay in, so a wrong-way lift is caught.
-        blocks = diag_mod.core_blocks(index, t)
+        # every mu of lam's row, in index order; a wrong-way lift is caught
         for lam in index:
-            for mu in blocks[lam]:
-                if caps_mod.mult_D(lam, mu, t) != 1:
-                    continue
+            for mu in sorted(pos.keys() & caps_mod.lift_row(lam, t).keys(), key=pos.__getitem__):
                 res.instances += 1
                 if lam.size < mu.size:
                     res.failures.append(f"size order violated: {lam}, {mu}, t={t}")

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from gltcomb import caps
-from gltcomb.caps import D_inverse, D_matrix, cap_scan, inverse_row, lift_row, mult_D, scan_matching
+from gltcomb.caps import D_inverse, D_matrix, cap_scan, inverse_row, lift_row, mult_D
 from gltcomb.diagrams import FAMILY_DPRIME, GENERIC, build_diagram, diagram_to_bipartition
 from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, bipartitions_up_to
@@ -18,24 +18,26 @@ def _caps_of(lam, t):
     return d, tuple(cap_scan(d.symbols, d.window[0])[0])
 
 
-def test_scan_matching_basic():
-    caps, open_crosses = scan_matching(list("xoxo"))
+# cap_scan pairs each cross with the nearest open circle to its left; these
+# are the mirrors of the left-to-right strings "xoxo", "oxxoo", "xxo" and
+# "x><o".
+def test_cap_scan_basic():
+    caps, open_crosses = cap_scan("oxox", 0)
     assert caps == [(0, 1), (2, 3)]
     assert open_crosses == []
 
 
-def test_scan_matching_nested_and_outside():
-    caps, open_crosses = scan_matching(list("oxxoo"))
-    assert caps == [(1, 4), (2, 3)]
+def test_cap_scan_nested_and_unclosed():
+    caps, open_crosses = cap_scan("ooxxo", 0)
+    assert caps == [(0, 3), (1, 2)]  # the circle at 4 closes nothing
     assert open_crosses == []
-    # cap_scan, reading the mirror "ooxxo" at -4..0, leaves the circle at 0 unclosed
-    assert cap_scan("ooxxo", -4)[1] == [0]
-    _, leftover = scan_matching(list("xxo"))
-    assert leftover == [0]
+    assert cap_scan("ooxxo", -4) == ([(-4, -1), (-3, -2)], [])
+    _, leftover = cap_scan("oxx", 0)
+    assert leftover == [2]
 
 
-def test_scan_matching_ignores_arrows():
-    caps, _ = scan_matching(list("x><o"))
+def test_cap_scan_ignores_arrows():
+    caps, _ = cap_scan("o<>x", 0)
     assert caps == [(0, 3)]
 
 

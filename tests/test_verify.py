@@ -82,9 +82,9 @@ def test_eigen_support_reports_missing_label(monkeypatch):
 
 
 def test_order_compatibility_reports_wrong_way_lift(monkeypatch):
-    real = caps.mult_D
+    real = caps.lift_row
     monkeypatch.setattr(
-        caps, "mult_D", lambda lam, mu, t: 1 if (lam, mu, t) == (VAC, ONE, 0) else real(lam, mu, t)
+        caps, "lift_row", lambda lam, t: {**real(lam, t), ONE: 1} if (lam, t) == (VAC, 0) else real(lam, t)
     )
     res = verify.check_order_compatibility(SMALL)
     assert res.instances == 60
@@ -169,12 +169,13 @@ def _lagrange_at(low, values, m):
 
 
 def test_dimension_polynomial_matches_lagrange():
-    """P_nu(m) against the Lagrange interpolant of Weyl dimensions at the
-    ranks L, ..., L + |nu| with L = l(black) + l(white)."""
+    """P_nu(m), El Samra-King's product, against the Lagrange interpolant of
+    Weyl dimensions at the ranks L, ..., L + |nu| with L = l(black) +
+    l(white), for m in [-6, 6]: negative ranks and ranks below L included."""
     for nu in bipartitions_up_to(8):
         low = nu.black.length + nu.white.length
         values = [verify._weyl_dim(nu, low + k) for k in range(nu.size + 1)]
-        for m in range(9):
+        for m in range(-6, 7):
             got = verify._dim_polynomial_at(nu, m)
             assert type(got) is int and got == _lagrange_at(low, values, m), (nu, m)
 
@@ -329,7 +330,7 @@ def test_run_all_reports_a_content_missing_from_a_box_table():
     assert {"partitions.corner-count", "partitions.add-remove-inverse", "fock.commutators"} <= failing
 
 
-# lift_row, cap_move_pair and scan_matching all read caps.cap_scan, so one cap
+# lift_row and check_matching_uniqueness both read caps.cap_scan, so one cap
 # dropped by the scan must show in run_all's dimension oracle and in the
 # matching-uniqueness check, both in a fresh interpreter as above.
 DROPPED_CAP = """
@@ -339,8 +340,8 @@ real = caps.cap_scan
 
 
 def cap_scan(symbols, left):
-    found, unmatched, stack = real(symbols, left)
-    return found[1:], unmatched, stack
+    found, stack = real(symbols, left)
+    return found[1:], stack
 
 
 caps.cap_scan = cap_scan
