@@ -9,9 +9,11 @@ Weyl-dimension oracle (verify's caps.dimension-oracle).  The ladder stops at
 the first N that fails a check or takes longer than 60 s.
 
 Each rung reports per-layer cold seconds, the nonzeros of every layer and
-the peak RSS.  A run records the commit of the checkout it measured.  The
-result is stored in OUT under --label, next to the runs already there, so
-one file can hold a before and an after run:
+the peak RSS.  The child prints one JSON line per finished layer before its
+result, so a rung stopped at the budget still reports the layers it
+finished and names the layer it stopped in.  A run records the commit of
+the checkout it measured.  The result is stored in OUT under --label, next
+to the runs already there, so one file can hold a before and an after run:
 
     python3 bench/scale.py --out BENCH_scale_<k>.json --label after
     python3 bench/scale.py --out BENCH_scale_<k>.json --label before --src <other checkout>/src
@@ -38,6 +40,7 @@ A_VALUES = range(-4, 5)
 # Address-space cap of one rung, so a large N fails with MemoryError instead
 # of pressing on the host.
 MEMORY_LIMIT = 2 << 30
+LAYERS = ("D", "Dinv", "B", "b", "A", "dimension-oracle")
 
 
 def rung(n: int) -> dict:
@@ -48,6 +51,9 @@ def rung(n: int) -> dict:
     nnz: dict[str, int] = {}
     negatives: dict[str, int] = {}
     counting = 0.0
+
+    def finished(name):
+        print(json.dumps({"layer": name, "seconds": seconds[name]}), flush=True)
 
     def layer(name, build):
         nonlocal counting
@@ -63,6 +69,7 @@ def rung(n: int) -> dict:
             nnz[name] += len(values)
             negatives[name] += sum(v < 0 for v in values)
         counting += perf_counter() - stop
+        finished(name)
         return mats
 
     failures: list[str] = []
@@ -82,6 +89,7 @@ def rung(n: int) -> dict:
         cfg = verify.VerifyConfig(t_values=tuple(T_VALUES), max_size=n)
         oracle = verify.check_dimension_oracle(cfg)
         seconds["dimension-oracle"] = round(perf_counter() - oracle_start, 4)
+        finished("dimension-oracle")
         failures += oracle.failures[:5]
     except (grothendieck.InternalInconsistencyError, ValueError, MemoryError) as exc:
         failures.append(f"{type(exc).__name__}: {exc}")
@@ -97,12 +105,32 @@ def rung(n: int) -> dict:
     }
 
 
+def partial_rung(stdout) -> dict:
+    """The seconds of the layers a stopped rung finished, read from the lines
+    it printed, and the first layer it did not finish."""
+    if isinstance(stdout, bytes):
+        stdout = stdout.decode(errors="replace")
+    seconds = {}
+    for line in (stdout or "").splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:  # a line cut off when the child was stopped
+            continue
+        if "layer" in record:
+            seconds[record["layer"]] = record["seconds"]
+    stopped_in = next((name for name in LAYERS if name not in seconds), None)
+    return {"layer_seconds": seconds, "stopped_in": stopped_in}
+
+
 def run_rung(src: str, n: int) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--rung", str(n), "--src", src]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=BUDGET_S)
-    except subprocess.TimeoutExpired:
-        return {"N": n, "status": "over-budget", "failures": [f"no result within {BUDGET_S} s"]}
+    except subprocess.TimeoutExpired as exc:
+        # On POSIX exc.stdout holds the raw bytes read so far, even with text=True.
+        partial = partial_rung(exc.stdout)
+        return {"N": n, "status": "over-budget", **partial,
+                "failures": [f"no result within {BUDGET_S} s, stopped in {partial['stopped_in']}"]}
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-1:] or [f"exit code {proc.returncode}"]
         return {"N": n, "status": "failed", "failures": tail}

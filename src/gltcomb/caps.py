@@ -9,9 +9,9 @@ from .diagrams import (
     CIRC,
     CROSS,
     FAMILY_DPRIME,
+    GT,
     ParamT,
     _symbol_run,
-    diagram_to_bipartition,
     is_generic,
     stable_window,
 )
@@ -44,9 +44,10 @@ def cap_scan(symbols: str, left: int) -> tuple[list[tuple[int, int]], list[int]]
 def lift_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
     """lam's row of D(t), {mu: 1} for the mu with D_t(lam, mu) = 1: lam, then
     for each subset of lam's caps in combinations order, lam with those
-    crosses moved to their circle ends.  lam's window is read once, and a row
-    without caps is {lam: 1} at once, as is every row at generic t.  Shared
-    by every caller and by D(t, n); do not mutate it."""
+    crosses moved to their circle ends.  Moving cap (l, r) swaps r for l in
+    the window's 'x' and '>' (black's beta-numbers black_i + t - i) and l for
+    r in its 'o' and '>' (white's i - white_i - 1).  Shared by every caller
+    and by D(t, n); do not mutate it."""
     if is_generic(t):
         return {lam: 1}
     left, right = stable_window(lam, t, FAMILY_DPRIME)
@@ -55,13 +56,15 @@ def lift_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
     row = {lam: 1}
     if not caps:
         return row
-    base = dict(zip(range(left, right + 1), symbols))
+    c_set = {s for s, sym in enumerate(symbols, left) if sym in (CROSS, GT)}
+    not_d = {s for s, sym in enumerate(symbols, left) if sym in (CIRC, GT)}
     for k in range(1, len(caps) + 1):
         for moved in combinations(caps, k):
-            moved_symbols = dict(base)
-            for l, r in moved:
-                moved_symbols[l], moved_symbols[r] = CROSS, CIRC
-            row[diagram_to_bipartition(moved_symbols, t, FAMILY_DPRIME)] = 1
+            circles, crosses = {l for l, _ in moved}, {r for _, r in moved}
+            betas = sorted((c_set - crosses) | circles, reverse=True)
+            gammas = sorted((not_d - circles) | crosses)
+            row[Bipartition.of([b - t + i for i, b in enumerate(betas, 1)],
+                               [i - 1 - g for i, g in enumerate(gammas, 1)])] = 1
     return row
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .partitions import Bipartition, Partition
+from .partitions import Bipartition
 
 GENERIC = "generic"
 ParamT = Union[int, str]
@@ -110,19 +110,16 @@ class WeightDiagram:
 
     def render(self) -> str:
         """Symbols over position labels, one column per position."""
-        left, right = self.window
-        cells = [(self.symbol(s), str(s)) for s in range(left, right + 1)]
-        width = [max(len(a), len(b)) for a, b in cells]
-        top = "  ".join(a.rjust(w) for (a, _), w in zip(cells, width))
-        bot = "  ".join(b.rjust(w) for (_, b), w in zip(cells, width))
-        return top + "\n" + bot
+        labels = [str(s) for s in range(self.window[0], self.window[1] + 1)]
+        top = "  ".join(sym.rjust(len(label)) for sym, label in zip(self.symbols, labels))
+        return top + "\n" + "  ".join(labels)
 
     def to_json(self) -> dict:
         return {
             "t": self.t,
             "family": self.family,
             "window": list(self.window),
-            "symbols": "".join(self.symbol(s) for s in range(self.window[0], self.window[1] + 1)),
+            "symbols": self.symbols,
         }
 
 
@@ -166,44 +163,3 @@ def same_core(lam: Bipartition, mu: Bipartition, t: ParamT, family: str = FAMILY
     # t + (black_i - i) pin the black partition, and the lattice has no
     # crosses to core, so its symbols pin the white one.
     return lam == mu
-
-
-def diagram_to_bipartition(symbols: dict[int, str], t: int, family: str = FAMILY_DPRIME) -> Bipartition:
-    """Recover the bipartition from diagram symbols on a window covering the
-    active region (left tail all crosses, right tail all circles assumed)."""
-    if is_generic(t):
-        raise ValueError("diagram inversion requires integer t")
-    positions = sorted(symbols)
-    left, right = positions[0], positions[-1]
-    c_vals = [s for s in positions if symbols[s] in (CROSS, GT)]
-    # Left tail: every position below the window is a cross, hence in both sets.
-    black_rows = []
-    for i, c in enumerate(sorted(c_vals, reverse=True), start=1):
-        black_rows.append(c - t + i)
-    pad = len(black_rows) + 1
-    for j in range(1, pad + 1):
-        black_rows.append((left - j) - t + len(c_vals) + j)
-    black = _rows_to_partition(black_rows, "black")
-    if family == FAMILY_D:
-        d_vals = [s for s in positions if symbols[s] in (CROSS, LT)]
-        white_rows = [d + i for i, d in enumerate(sorted(d_vals, reverse=True), start=1)]
-        for j in range(1, pad + 1):
-            white_rows.append((left - j) + len(d_vals) + j)
-        white = _rows_to_partition(white_rows, "white")
-    else:
-        # Complement of D': circles and '>' in the window plus everything above it.
-        m_vals = [s for s in positions if symbols[s] in (CIRC, GT)]
-        white_rows = [i - m - 1 for i, m in enumerate(sorted(m_vals), start=1)]
-        n_in = len(m_vals)
-        for j in range(1, pad + 1):
-            white_rows.append((n_in + j) - (right + j) - 1)
-        white = _rows_to_partition(white_rows, "white")
-    return Bipartition(black, white)
-
-
-def _rows_to_partition(rows: list[int], side: str) -> Partition:
-    while rows and rows[-1] == 0:
-        rows.pop()
-    if any(r <= 0 for r in rows) or any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-        raise ValueError(f"symbols do not encode a valid {side} partition: {rows}")
-    return Partition(tuple(rows))

