@@ -22,7 +22,7 @@ from .diagrams import (
     symbol_at,
 )
 from .caps import D_inverse, D_matrix, lift_row, mult_D
-from .lr import B_matrix, lr_coeff, schur_product_oracle
+from .lr import B_matrix, lr_coeff, lr_product, schur_product_oracle
 from .fock import (
     Mode,
     apply_generator,
@@ -67,6 +67,7 @@ __all__ = [
     "mult_D",
     "B_matrix",
     "lr_coeff",
+    "lr_product",
     "schur_product_oracle",
     "Mode",
     "apply_generator",

@@ -1,68 +1,89 @@
 """Littlewood-Richardson coefficients and the tilting-in-tensor matrix B.
 
-lr_coeff enumerates LR skew tableaux directly; schur_product_oracle expands
-products of Schur polynomials by Brauer's formula over exact integers and
-serves as an independent check: it uses no LR tableau.
+lr_product and lr_coeff count LR tableaux as horizontal strips under a
+lattice-word condition (Macdonald I.9); schur_product_oracle expands products
+of Schur polynomials by Brauer's formula over exact integers and serves as an
+independent check: it uses no LR tableau.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
+from itertools import product
 
 from .matrices import BipartitionMatrix
 from .partitions import Bipartition, Partition, bipartitions_up_to, partitions_of
 
 
+def _lr_shapes(mu: Partition, kappa: Partition, outer: Partition | None = None) -> dict[tuple[int, ...], int]:
+    """The rows of each lam (inside outer, when given) with the number of LR
+    tableaux of shape lam/mu and weight kappa.
+
+    Adds kappa's rows to mu as horizontal strips labelled 1, 2, ... whose
+    reverse reading word is a lattice word: in rows 1..r the j's number at
+    most the (j-1)'s in rows 1..r-1.  Label j enters rows j and below, so once
+    it is placed rows 1..j are final.  Tableaux that agree on the shape and on
+    where the last label lies are counted together."""
+    # (rows, the last label's running count down the rows) -> tableaux
+    states = {(mu.rows, None): 1}
+    for j, k in enumerate(kappa.rows, start=1):
+        grown = {}
+        for (rows, above), ways in states.items():
+            for key in _strips(rows, k, j, above, outer):
+                grown[key] = grown.get(key, 0) + ways
+        states = grown
+    shapes: dict[tuple[int, ...], int] = {}
+    for (rows, _), ways in states.items():
+        shapes[rows] = shapes.get(rows, 0) + ways
+    return shapes
+
+
+def _strips(rows: tuple[int, ...], k: int, j: int, above: tuple[int, ...] | None,
+            outer: Partition | None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each way to add k cells labelled j to rows as a horizontal strip in rows
+    j and below, keeping the lattice condition against above and staying
+    inside outer: (the new rows, the running count of j's down the rows)."""
+    old = rows + (0,)
+    new = list(old)
+    found = []
+
+    def place(i: int, left: int, counts: list[int]) -> None:
+        if i == len(old):
+            found.append((tuple(new[:-1] if new[-1] == 0 else new), tuple(counts)))
+            return
+        lo = max(0, left - old[i])  # rows below i take at most old[i] cells between them
+        hi = left if i == 0 else min(left, old[i - 1] - old[i])
+        if above is not None:
+            hi = min(hi, above[i - 1] - counts[-1])
+        if outer is not None:
+            room = outer.row(i + 1) - old[i]
+            hi = min(hi, room)
+            if i == j - 1:  # row j is final once label j is placed
+                lo = max(lo, room)
+        for c in range(lo, hi + 1):
+            new[i] = old[i] + c
+            place(i + 1, left - c, counts + [(counts[-1] if counts else 0) + c])
+        new[i] = old[i]
+
+    place(j - 1, k, [0] * (j - 1))
+    return found
+
+
+@lru_cache(maxsize=None)
+def lr_product(mu: Partition, kappa: Partition) -> dict[Partition, int]:
+    """s_mu * s_kappa as {lam: c^lam_{mu kappa}}, nonzero terms only, largest
+    lam first.  Cached and shared by every caller, so do not mutate it."""
+    shapes = _lr_shapes(mu, kappa)
+    # partitions_of's own instances, so equal keys downstream are identical.
+    return {lam: shapes[lam.rows] for lam in partitions_of(mu.size + kappa.size) if lam.rows in shapes}
+
+
 def lr_coeff(lam: Partition, mu: Partition, kappa: Partition) -> int:
     """Multiplicity of s_lam in s_mu * s_kappa: the number of LR skew tableaux
-    of shape lam/mu and weight kappa."""
+    of shape lam/mu and weight kappa, counted inside lam alone."""
     if lam.size != mu.size + kappa.size or not lam.contains(mu):
         return 0
-    if kappa.size == 0:
-        return 1 if lam == mu else 0
-    rows = lam.length
-    cells = []  # reverse reading order: rows top to bottom, right to left
-    for i in range(1, rows + 1):
-        for j in range(lam.row(i), mu.row(i), -1):
-            cells.append((i, j))
-    weight_cap = list(kappa.rows)
-    n_colors = len(weight_cap)
-    filling: dict[tuple[int, int], int] = {}
-    counts = [0] * n_colors
-
-    def feasible(cell: tuple[int, int], v: int) -> bool:
-        i, j = cell
-        if v > i:  # entries in row i of an LR tableau never exceed i
-            return False
-        right = filling.get((i, j + 1))  # filled earlier in reverse reading order
-        if right is not None and v > right:  # weakly increasing along rows
-            return False
-        up = filling.get((i - 1, j))
-        if up is not None and up >= v:  # strictly increasing down columns
-            return False
-        if counts[v - 1] >= weight_cap[v - 1]:
-            return False
-        if v > 1 and counts[v - 1] >= counts[v - 2]:  # lattice word condition
-            return False
-        return True
-
-    def backtrack(k: int) -> int:
-        if k == len(cells):
-            return 1
-        total = 0
-        cell = cells[k]
-        for v in range(1, n_colors + 1):
-            if feasible(cell, v):
-                filling[cell] = v
-                counts[v - 1] += 1
-                total += backtrack(k + 1)
-                counts[v - 1] -= 1
-                del filling[cell]
-        return total
-
-    # Entries in row i come from the cap min(i, n_colors); cells right of the
-    # inner shape in row 1 must all be 1, handled by the generic pruning.
-    return backtrack(0)
+    return _lr_shapes(mu, kappa, lam).get(lam.rows, 0)
 
 
 Monomial = tuple[int, ...]
@@ -70,42 +91,21 @@ Monomial = tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def schur_polynomial(nu: Partition, nvars: int) -> dict[Monomial, int]:
-    """The Schur polynomial of nu in nvars variables as a sum over
-    semistandard tableaux; exponent vectors map to integer coefficients."""
+    """The Schur polynomial of nu in nvars variables by the branching rule
+    s_nu(x_1..x_m) = sum_rho x_m^|nu/rho| s_rho(x_1..x_{m-1}) over the rho
+    with nu/rho a horizontal strip (Macdonald I.5); exponent vectors map to
+    integer coefficients.  Cached, with the rho of every step."""
     if nu.length > nvars:
         return {}
-    if nu.size == 0:
-        return {(0,) * nvars: 1}
+    if nvars == 0:
+        return {(): 1}
     poly: dict[Monomial, int] = {}
-    cols = nu.transpose().rows
-
-    # Fill column by column (strictly increasing down a column, weakly
-    # increasing along rows) tracking only the previous column.
-    def fill_columns(c: int, prev: tuple[int, ...], expo: tuple[int, ...]):
-        if c == len(cols):
-            poly[expo] = poly.get(expo, 0) + 1
-            return
-        height = cols[c]
-
-        def fill_cells(i: int, last: int, acc: tuple[int, ...]):
-            if i == height:
-                fill_columns(c + 1, acc, _bump(expo, acc))
-                return
-            lo = max(last + 1, 1)
-            if i < len(prev):
-                lo = max(lo, prev[i])
-            for v in range(lo, nvars + 1):
-                fill_cells(i + 1, v, acc + (v,))
-
-        fill_cells(0, 0, ())
-
-    def _bump(expo: tuple[int, ...], column: tuple[int, ...]) -> tuple[int, ...]:
-        e = list(expo)
-        for v in column:
-            e[v - 1] += 1
-        return tuple(e)
-
-    fill_columns(0, (), (0,) * nvars)
+    # rho_i lies between nu_{i+1} and nu_i; rows from nvars on are empty.
+    ranges = [range(nu.row(i + 1), nu.row(i) + 1) for i in range(1, min(nu.length, nvars - 1) + 1)]
+    for rho in product(*ranges):
+        last = nu.size - sum(rho)
+        for w, coeff in schur_polynomial(Partition.of(*rho), nvars - 1).items():
+            poly[w + (last,)] = poly.get(w + (last,), 0) + coeff
     return poly
 
 
@@ -115,11 +115,14 @@ def schur_product_oracle(mu: Partition, kappa: Partition, nvars: int) -> dict[Pa
 
     Each monomial x^w of s_kappa contributes a_{mu+rho+w}: zero when two
     exponents coincide, else the sign of the sorting permutation times
-    a_{lam+rho} with lam the sorted exponents minus rho."""
+    a_{lam+rho} with lam the sorted exponents minus rho.  The product is
+    symmetric, so the factor whose polynomial has fewer monomials is expanded."""
     # c^lam_{mu kappa} != 0 forces len(lam) <= len(mu) + len(kappa), so that
     # many variables keep every a_{lam+rho} of the product independent and nonzero.
     if nvars < mu.length + kappa.length:
         raise ValueError(f"need at least {mu.length + kappa.length} variables, got {nvars}")
+    if len(schur_polynomial(mu, nvars)) < len(schur_polynomial(kappa, nvars)):
+        mu, kappa = kappa, mu
     rho = range(nvars - 1, -1, -1)
     shifted = [mu.row(i + 1) + r for i, r in enumerate(rho)]
     result: dict[Partition, int] = {}
@@ -138,12 +141,6 @@ def schur_product_oracle(mu: Partition, kappa: Partition, nvars: int) -> dict[Pa
     return {lam: result[lam] for lam in sorted(result, reverse=True)}
 
 
-def _lr_terms(mu: Partition, kappa: Partition) -> list[tuple[Partition, int]]:
-    """The nonzero terms (lam, c) of s_mu * s_kappa."""
-    terms = ((lam, lr_coeff(lam, mu, kappa)) for lam in partitions_of(mu.size + kappa.size))
-    return [(lam, c) for lam, c in terms if c]
-
-
 @lru_cache(maxsize=None)
 def B_matrix(n: int) -> BipartitionMatrix:
     """Tilting multiplicities of the formal-parameter mixed tensor objects.
@@ -152,14 +149,12 @@ def B_matrix(n: int) -> BipartitionMatrix:
     the terms of s_{mu black} * s_kappa and s_{mu white} * s_kappa pair up
     into the entry B((alpha, beta), mu), the sum over kappa of
     lr(alpha; mu black, kappa) * lr(beta; mu white, kappa)."""
-    # Columns sharing a black or a white part expand the same products.
-    lr_terms = cache(_lr_terms)
     m = BipartitionMatrix(n)
     for mu in bipartitions_up_to(n):
         for d in range((n - mu.size) // 2 + 1):
             for kappa in partitions_of(d):
-                white_terms = lr_terms(mu.white, kappa)
-                for alpha, c in lr_terms(mu.black, kappa):
+                white_terms = lr_product(mu.white, kappa).items()
+                for alpha, c in lr_product(mu.black, kappa).items():
                     for beta, c2 in white_terms:
                         row = m.rows.setdefault(Bipartition(alpha, beta), {})
                         row[mu] = row.get(mu, 0) + c * c2

@@ -391,9 +391,10 @@ def check_lr_oracle(cfg: VerifyConfig, total: int | None = None) -> CheckResult:
         for kappa in partitions_up_to(bound - mu.size):
             nvars = max(mu.length + kappa.length, 1)
             expansion = lr_mod.schur_product_oracle(mu, kappa, nvars)
+            terms = lr_mod.lr_product(mu, kappa)
             for lam in partitions_of(mu.size + kappa.size):
                 res.instances += 1
-                if lr_mod.lr_coeff(lam, mu, kappa) != expansion.get(lam, 0):
+                if terms.get(lam, 0) != expansion.get(lam, 0):
                     res.failures.append(f"lr mismatch: {lam}, {mu}, {kappa}")
     return res
 
@@ -403,9 +404,10 @@ def check_lr_symmetry(cfg: VerifyConfig) -> CheckResult:
     bound = min(cfg.max_size + 2, 7)
     for mu in partitions_up_to(bound):
         for kappa in partitions_up_to(bound - mu.size):
+            terms, swapped = lr_mod.lr_product(mu, kappa), lr_mod.lr_product(kappa, mu)
             for lam in partitions_up_to(mu.size + kappa.size):
                 res.instances += 1
-                if lr_mod.lr_coeff(lam, mu, kappa) != lr_mod.lr_coeff(lam, kappa, mu):
+                if terms.get(lam, 0) != swapped.get(lam, 0):
                     res.failures.append(f"symmetry fails: {lam}, {mu}, {kappa}")
     return res
 

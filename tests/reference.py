@@ -1,10 +1,18 @@
-"""The tests' own decoder from dprime weight diagrams back to bipartitions.
+"""The tests' own references, each independent of the code it checks.
 
-It reads the symbols position by position, pads both tails and validates the
-rows itself, and imports nothing from gltcomb.caps, so the rows the tests
-rebuild with it check `caps.lift_row`'s beta-number swaps instead of sharing
-their decode.
+`diagram_to_bipartition` decodes dprime weight diagrams back to
+bipartitions: it reads the symbols position by position, pads both tails and
+validates the rows itself, and imports nothing from gltcomb.caps, so the rows
+the tests rebuild with it check `caps.lift_row`'s beta-number swaps instead of
+sharing their decode.
+
+`lr_coeff` fills the cells of lam/mu one at a time by backtracking, and
+`schur_polynomial` enumerates semistandard tableaux column by column.  Neither
+imports gltcomb.lr, so they check its horizontal-strip enumerator and its
+branching rule instead of sharing them.
 """
+
+from functools import lru_cache
 
 from gltcomb.diagrams import CIRC, CROSS, GT
 from gltcomb.partitions import Bipartition, Partition
@@ -40,3 +48,99 @@ def _rows_to_partition(rows: list[int], side: str) -> Partition:
     if any(r <= 0 for r in rows) or any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
         raise ValueError(f"symbols do not encode a valid {side} partition: {rows}")
     return Partition(tuple(rows))
+
+
+def lr_coeff(lam: Partition, mu: Partition, kappa: Partition) -> int:
+    """Multiplicity of s_lam in s_mu * s_kappa: the number of LR skew tableaux
+    of shape lam/mu and weight kappa."""
+    if lam.size != mu.size + kappa.size or not lam.contains(mu):
+        return 0
+    if kappa.size == 0:
+        return 1 if lam == mu else 0
+    rows = lam.length
+    cells = []  # reverse reading order: rows top to bottom, right to left
+    for i in range(1, rows + 1):
+        for j in range(lam.row(i), mu.row(i), -1):
+            cells.append((i, j))
+    weight_cap = list(kappa.rows)
+    n_colors = len(weight_cap)
+    filling: dict[tuple[int, int], int] = {}
+    counts = [0] * n_colors
+
+    def feasible(cell: tuple[int, int], v: int) -> bool:
+        i, j = cell
+        if v > i:  # entries in row i of an LR tableau never exceed i
+            return False
+        right = filling.get((i, j + 1))  # filled earlier in reverse reading order
+        if right is not None and v > right:  # weakly increasing along rows
+            return False
+        up = filling.get((i - 1, j))
+        if up is not None and up >= v:  # strictly increasing down columns
+            return False
+        if counts[v - 1] >= weight_cap[v - 1]:
+            return False
+        if v > 1 and counts[v - 1] >= counts[v - 2]:  # lattice word condition
+            return False
+        return True
+
+    def backtrack(k: int) -> int:
+        if k == len(cells):
+            return 1
+        total = 0
+        cell = cells[k]
+        for v in range(1, n_colors + 1):
+            if feasible(cell, v):
+                filling[cell] = v
+                counts[v - 1] += 1
+                total += backtrack(k + 1)
+                counts[v - 1] -= 1
+                del filling[cell]
+        return total
+
+    # Entries in row i come from the cap min(i, n_colors); cells right of the
+    # inner shape in row 1 must all be 1, handled by the generic pruning.
+    return backtrack(0)
+
+
+Monomial = tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def schur_polynomial(nu: Partition, nvars: int) -> dict[Monomial, int]:
+    """The Schur polynomial of nu in nvars variables as a sum over
+    semistandard tableaux; exponent vectors map to integer coefficients."""
+    if nu.length > nvars:
+        return {}
+    if nu.size == 0:
+        return {(0,) * nvars: 1}
+    poly: dict[Monomial, int] = {}
+    cols = nu.transpose().rows
+
+    # Fill column by column (strictly increasing down a column, weakly
+    # increasing along rows) tracking only the previous column.
+    def fill_columns(c: int, prev: tuple[int, ...], expo: tuple[int, ...]):
+        if c == len(cols):
+            poly[expo] = poly.get(expo, 0) + 1
+            return
+        height = cols[c]
+
+        def fill_cells(i: int, last: int, acc: tuple[int, ...]):
+            if i == height:
+                fill_columns(c + 1, acc, _bump(expo, acc))
+                return
+            lo = max(last + 1, 1)
+            if i < len(prev):
+                lo = max(lo, prev[i])
+            for v in range(lo, nvars + 1):
+                fill_cells(i + 1, v, acc + (v,))
+
+        fill_cells(0, 0, ())
+
+    def _bump(expo: tuple[int, ...], column: tuple[int, ...]) -> tuple[int, ...]:
+        e = list(expo)
+        for v in column:
+            e[v - 1] += 1
+        return tuple(e)
+
+    fill_columns(0, (), (0,) * nvars)
+    return poly

@@ -2,22 +2,25 @@ from functools import cache
 
 import pytest
 
-from gltcomb.lr import B_matrix, lr_coeff, schur_polynomial, schur_product_oracle
+from gltcomb.lr import B_matrix, lr_coeff, lr_product, schur_polynomial, schur_product_oracle
 from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to, partitions_of, partitions_up_to
+
+import reference
 
 P = Partition.of
 
 
 def B_entry(lam, mu):
     """The reference for B_matrix, one entry at a time: the sum over kappa of
-    lr(black lam; black mu, kappa) * lr(white lam; white mu, kappa)."""
+    lr(black lam; black mu, kappa) * lr(white lam; white mu, kappa), with the
+    tests' own per-cell LR count."""
     d_black = lam.black.size - mu.black.size
     d_white = lam.white.size - mu.white.size
     if d_black != d_white or d_black < 0:
         return 0
     return sum(
-        lr_coeff(lam.black, mu.black, kappa) * lr_coeff(lam.white, mu.white, kappa)
+        reference.lr_coeff(lam.black, mu.black, kappa) * reference.lr_coeff(lam.white, mu.white, kappa)
         for kappa in partitions_of(d_black)
     )
 
@@ -40,6 +43,37 @@ def test_classic_multiplicity_two():
 def test_grading_and_containment():
     assert lr_coeff(P(2), P(2, 1), P(1)) == 0
     assert lr_coeff(P(1, 1, 1, 1), P(2, 1), P(1)) == 0
+
+
+# Triples whose tableaux need many labels and rows, with coefficients 24 and 6.
+LARGE_TRIPLES = [
+    (P(6, 5, 4, 3, 2, 1), P(4, 3, 2, 1), P(4, 3, 2, 1, 1)),
+    (P(9, 7, 5, 3, 1), P(6, 4, 2), P(5, 3, 3, 1, 1)),
+]
+
+
+def test_lr_product_and_coeff_match_per_cell_reference():
+    triples = 0
+    for mu in partitions_up_to(8):
+        for kappa in partitions_up_to(8 - mu.size):
+            terms = lr_product(mu, kappa)
+            assert list(terms) == sorted(terms, reverse=True)
+            assert all(terms.values())
+            for lam in partitions_of(mu.size + kappa.size):
+                triples += 1
+                want = reference.lr_coeff(lam, mu, kappa)
+                assert terms.get(lam, 0) == lr_coeff(lam, mu, kappa) == want, (lam, mu, kappa)
+    assert triples == 6830
+    for lam, mu, kappa in LARGE_TRIPLES:
+        want = reference.lr_coeff(lam, mu, kappa)
+        assert lr_product(mu, kappa)[lam] == lr_coeff(lam, mu, kappa) == want
+    assert [reference.lr_coeff(*triple) for triple in LARGE_TRIPLES] == [24, 6]
+
+
+def test_schur_polynomial_branching_matches_tableau_reference():
+    for nu in partitions_up_to(7):
+        for nvars in range(9):
+            assert schur_polynomial(nu, nvars) == reference.schur_polynomial(nu, nvars), (nu, nvars)
 
 
 def test_schur_polynomial_dimensions():
@@ -135,8 +169,10 @@ def test_b_matrix_multiplies_coefficients_above_one():
 @cache
 def _kostka(shape, alpha):
     """The coefficient of x^alpha in s_shape, for a partition alpha; it does
-    not depend on variables beyond the parts of alpha."""
-    return schur_polynomial(shape, len(alpha)).get(alpha, 0)
+    not depend on variables beyond the parts of alpha.  Read from the tests'
+    own tableau enumeration, so this oracle shares no Schur polynomial with
+    schur_product_oracle."""
+    return reference.schur_polynomial(shape, len(alpha)).get(alpha, 0)
 
 
 def _compositions_below(alpha, total):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import gltcomb
-from gltcomb import caps, fock, grothendieck, verify
+from gltcomb import caps, fock, grothendieck, lr, verify
 from gltcomb.matrices import BipartitionMatrix
 from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to
 
@@ -67,6 +67,24 @@ def test_matrix_commutators_report_dropped_entry(monkeypatch):
         "matrix commutator: a=0, b=0, t=0, [[],[]]->[[],[]]",
         "matrix commutator: a=0, b=0, t=0, [[1],[]]->[[1],[]]",
         "matrix commutator: a=0, b=0, t=0, [[1],[1]]->[[],[]]",
+    ]
+
+
+def test_lr_checks_report_dropped_term(monkeypatch):
+    real = lr.lr_product
+    mu, kappa, dropped = Partition.of(2, 1), Partition.of(1), Partition.of(2, 2)
+
+    def lr_product(mu_, kappa_):
+        terms = real(mu_, kappa_)
+        if (mu_, kappa_) == (mu, kappa):
+            terms = {lam: c for lam, c in terms.items() if lam != dropped}
+        return terms
+
+    monkeypatch.setattr(lr, "lr_product", lr_product)
+    assert verify.check_lr_oracle(SMALL).failures == ["lr mismatch: [2,2], [2,1], [1]"]
+    assert verify.check_lr_symmetry(SMALL).failures == [
+        "symmetry fails: [2,2], [1], [2,1]",
+        "symmetry fails: [2,2], [2,1], [1]",
     ]
 
 
