@@ -18,24 +18,16 @@ INTEGER_FAMILY = "integer"
 SHIFTED_FAMILY = "shifted"
 
 
-def _white_shift(a: int, t: ParamT, family: Optional[str]) -> Optional[int]:
-    """Content selector for the white move, or None when that track is off."""
+def _contents(a: int, t: ParamT, family: Optional[str]) -> tuple[Optional[int], Optional[int]]:
+    """The contents of f_a's two box moves, (black box added, white box
+    removed), None for a track that is off: at generic t the action splits
+    into sl_Z x sl_Z and the family picks the black or the white copy."""
     if not is_generic(t):
-        return -(a + t)
+        return a, -(a + t)
     if family == INTEGER_FAMILY:
-        return None
+        return a, None
     if family == SHIFTED_FAMILY:
-        return -a
-    raise ValueError("generic t needs family 'integer' or 'shifted'")
-
-
-def _black_on(t: ParamT, family: Optional[str]) -> bool:
-    if not is_generic(t):
-        return True
-    if family == INTEGER_FAMILY:
-        return True
-    if family == SHIFTED_FAMILY:
-        return False
+        return None, -a
     raise ValueError("generic t needs family 'integer' or 'shifted'")
 
 
@@ -61,13 +53,11 @@ def _box_moves(n: int) -> tuple[dict[int, list], dict[int, list]]:
 def a_tilde(a: int, t: ParamT, n: int, family: Optional[str] = None) -> BipartitionMatrix:
     """Translation matrix on the standard basis: (lam, mu) entry 1 iff mu is
     lam plus a black content-a box or lam minus a white content -(a+t) box."""
-    white_c = _white_shift(a, t, family)
-    black_on = _black_on(t, family)
-    black, white = _box_moves(n)
-    rows = {lam: {mu: 1} for lam, mu in black.get(a, [])} if black_on else {}
-    if white_c is not None:
-        for lam, mu in white.get(white_c, []):
-            rows.setdefault(lam, {})[mu] = 1
+    rows: dict[Bipartition, dict[Bipartition, int]] = {}
+    for moves, c in zip(_box_moves(n), _contents(a, t, family)):
+        if c is not None:
+            for lam, mu in moves.get(c, ()):
+                rows.setdefault(lam, {})[mu] = 1
     return BipartitionMatrix(n, rows)
 
 
@@ -75,11 +65,10 @@ def e_tilde(a: int, t: ParamT, n: int, family: Optional[str] = None) -> Bipartit
     """(lam, mu) entry 1 iff mu is lam minus a black content-a box or lam plus
     a white content -(a+t) box."""
     m = BipartitionMatrix(n)
-    white_c = _white_shift(a, t, family)
-    black_on = _black_on(t, family)
+    black_c, white_c = _contents(a, t, family)
     for lam in bipartitions_up_to(n):
-        if black_on:
-            black = lam.black.remove_box(a)
+        if black_c is not None:
+            black = lam.black.remove_box(black_c)
             if black is not None:
                 m.set(lam, Bipartition(black, lam.white), 1)
         if white_c is not None:
@@ -195,14 +184,8 @@ def f_on_standard(
 ) -> tuple[Optional[Bipartition], Optional[Bipartition]]:
     """Sub and quotient of the standard filtration of the translated standard
     object: (lam plus black box_a, lam minus white box_{-(a+t)})."""
-    sub = quot = None
-    if _black_on(t, family):
-        black = lam.black.add_box(a)
-        if black is not None:
-            sub = Bipartition(black, lam.white)
-    white_c = _white_shift(a, t, family)
-    if white_c is not None:
-        white = lam.white.remove_box(white_c)
-        if white is not None:
-            quot = Bipartition(lam.black, white)
-    return (sub, quot)
+    black_c, white_c = _contents(a, t, family)
+    black = None if black_c is None else lam.black.add_box(black_c)
+    white = None if white_c is None else lam.white.remove_box(white_c)
+    return (None if black is None else Bipartition(black, lam.white),
+            None if white is None else Bipartition(lam.black, white))

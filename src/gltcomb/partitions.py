@@ -185,9 +185,6 @@ class Bipartition:
         return [self.black.to_json(), self.white.to_json()]
 
 
-VACUUM = Bipartition()
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in lexicographically decreasing order."""

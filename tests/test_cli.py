@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -82,6 +83,24 @@ def test_matrix_generic_family(capsys):
                        "--t", "generic", "--family", "integer", "--max-size", "1")
     assert code == 0
     assert out.strip()
+
+
+TRANSLATION_JSON_SHA256 = "5d51c1a148f5aa1687899f4f6c3dc9d791c2c931c677c6c072b2cc3f1efb69d8"
+
+
+def test_translation_matrix_json_is_pinned(capsys):
+    """The JSON of atilde, etilde and A at max size 4, for t in [-4, 4] and
+    both generic families, a in [-3, 3], hashes to a fixed digest."""
+    params = [(f"--t={t}",) for t in range(-4, 5)]
+    params += [("--t=generic", "--family", family) for family in ("integer", "shifted")]
+    digest = hashlib.sha256()
+    for kind in ("atilde", "etilde", "A"):
+        for t_args in params:
+            for a in range(-3, 4):
+                code, out, _ = run(capsys, "matrix", "--kind", kind, t_args[0], "--a", str(a),
+                                   "--max-size", "4", "--format", "json", *t_args[1:])
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == TRANSLATION_JSON_SHA256
 
 
 def test_decompose(capsys):

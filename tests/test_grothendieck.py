@@ -8,8 +8,6 @@ from gltcomb.grothendieck import (
     INTEGER_FAMILY,
     SHIFTED_FAMILY,
     InternalInconsistencyError,
-    _black_on,
-    _white_shift,
     a_matrix,
     a_tilde,
     b_matrix,
@@ -35,9 +33,10 @@ def test_a_tilde_entries():
 
 
 def test_e_tilde_is_transpose():
-    for t in (-2, 0, 1):
+    for t, family in [(-2, None), (0, None), (1, None),
+                      (GENERIC, INTEGER_FAMILY), (GENERIC, SHIFTED_FAMILY)]:
         for a in range(-3, 4):
-            assert e_tilde(a, t, 3) == a_tilde(a, t, 3).transpose()
+            assert e_tilde(a, t, 3, family) == a_tilde(a, t, 3, family).transpose()
 
 
 def test_generic_family_split():
@@ -53,15 +52,30 @@ def test_generic_family_split():
 
 
 def test_generic_family_required():
-    with pytest.raises(ValueError):
-        a_tilde(0, GENERIC, 2)
+    """Every reader of the family rule refuses generic t without a family."""
+    calls = [
+        lambda family: a_tilde(0, GENERIC, 2, family),
+        lambda family: e_tilde(0, GENERIC, 2, family),
+        lambda family: a_matrix(0, GENERIC, 2, family),
+        lambda family: f_on_standard(ONE, 0, GENERIC, family),
+    ]
+    for call in calls:
+        for family in (None, "dprime"):
+            with pytest.raises(ValueError, match="generic t needs family"):
+                call(family)
 
 
 def _a_tilde_reference(a, t, n, family=None):
-    """a_tilde by one pass over the index, moving one box of each lam."""
+    """a_tilde by one pass over the index, moving one box of each lam.  The
+    family rule is spelled out here, apart from the code it checks."""
     m = BipartitionMatrix(n)
-    white_c = _white_shift(a, t, family)
-    black_on = _black_on(t, family)
+    if t != GENERIC:
+        black_on, white_c = True, -(a + t)
+    elif family == INTEGER_FAMILY:
+        black_on, white_c = True, None
+    else:
+        assert family == SHIFTED_FAMILY
+        black_on, white_c = False, -a
     for lam in bipartitions_up_to(n):
         if black_on:
             black = lam.black.add_box(a)
@@ -215,3 +229,19 @@ def test_f_on_standard():
     sub, quot = f_on_standard(ONE, 1, 0)
     assert sub == Bipartition.of((2,), (1,))
     assert quot is None
+
+
+def test_f_on_standard_reads_a_tilde_rows():
+    """sub is lam's black addition and quot its white removal in a_tilde's row
+    of lam, at integer t and in both generic families."""
+    n = 4
+    params = [(t, None) for t in range(-3, 4)]
+    params += [(GENERIC, INTEGER_FAMILY), (GENERIC, SHIFTED_FAMILY)]
+    for t, family in params:
+        for a in range(-4, 5):
+            rows = a_tilde(a, t, n + 1, family).rows
+            for lam in bipartitions_up_to(n):
+                sub, quot = f_on_standard(lam, a, t, family)
+                assert {mu for mu in (sub, quot) if mu is not None} == rows.get(lam, {}).keys()
+                assert sub is None or (sub.white == lam.white and sub.size == lam.size + 1)
+                assert quot is None or (quot.black == lam.black and quot.size == lam.size - 1)
