@@ -10,7 +10,7 @@ from gltcomb import caps, cli, grothendieck
 from gltcomb.cli import main
 from gltcomb.lr import B_matrix
 from gltcomb.matrices import BipartitionMatrix
-from gltcomb.partitions import Bipartition, bipartitions_up_to
+from gltcomb.partitions import Bipartition, bipartitions_up_to, partitions_up_to
 
 
 def run(capsys, *argv):
@@ -179,6 +179,31 @@ def test_fock_wedge_length_below_one_exits_2(capsys, n):
     assert "Traceback" not in err
 
 
+FOCK_SHA256 = "8171ba68445c57da4a9a786f4709b11b53c3a95505551ab9522c2f8d2459faf6"
+
+
+def test_fock_output_is_pinned(capsys):
+    """Every module of `fock` on five words and the small bases, in both
+    formats, error exits included, hashes to a fixed digest."""
+    partitions = [str(nu) for nu in partitions_up_to(3)]
+    modes = [(["plain"], partitions), (["twisted"], partitions)]
+    for t in ("-2", "0", "3", "generic"):
+        modes.append((["shifted", f"--t={t}"], partitions))
+    for t in ("-2", "0", "3", "generic"):
+        modes.append((["tensor", f"--t={t}"], [str(bp) for bp in bipartitions_up_to(2)]))
+    modes.append((["taut"], [str(i) for i in range(-2, 3)]))
+    modes.append((["wedge", "--n", "3"], ["(2,1,0)", "(1,0,-1)", "(3,1,-2)"]))
+    digest = hashlib.sha256()
+    for fmt in ("json", "text"):
+        for mode_args, starts in modes:
+            for word in ("f0", "e0", "f-1 f0", "e1 f1", "f2 e-1 f0"):
+                for start in starts:
+                    argv = ["fock", "--mode", *mode_args, "--format", fmt, word, start]
+                    code, out, err = run(capsys, *argv)
+                    digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == FOCK_SHA256
+
+
 def test_lr(capsys):
     code, out, _ = run(capsys, "lr", "[3,2,1]", "[2,1]", "[2,1]")
     assert code == 0
@@ -245,6 +270,17 @@ def test_verify_json_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["ok"] is True
     assert len(payload["checks"]) == 34
+
+
+VERIFY_JSON_SHA256 = "1d8f281683487800d98c8a0c7fde547b4ce2b7c6c409d4fed6199a338a8db880"
+
+
+def test_default_verify_json_is_pinned(capsys):
+    """`verify --format json` at its defaults (t in [-2, 2], max size 3,
+    seed 0) hashes to a fixed digest."""
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
 def test_out_file(tmp_path, capsys):
