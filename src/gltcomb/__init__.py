@@ -26,7 +26,6 @@ from .lr import B_matrix, lr_coeff, lr_product, schur_product_oracle
 from .fock import (
     Mode,
     apply_generator,
-    commutator_defect,
     dominance_leq,
     energy,
     omega,
@@ -71,7 +70,6 @@ __all__ = [
     "schur_product_oracle",
     "Mode",
     "apply_generator",
-    "commutator_defect",
     "dominance_leq",
     "energy",
     "omega",

@@ -172,12 +172,10 @@ def cmd_eigen(args) -> int:
 
 def _parse_mode(args) -> fock_mod.Mode:
     kind = args.mode
-    if kind == "plain":
-        return fock_mod.Mode.plain()
-    if kind == "twisted":
-        return fock_mod.Mode.twisted_dual()
-    if kind == "taut":
-        return fock_mod.Mode.tautological()
+    fixed = {"plain": fock_mod.Mode.plain, "twisted": fock_mod.Mode.twisted_dual,
+             "taut": fock_mod.Mode.tautological}
+    if kind in fixed:
+        return fixed[kind]()
     if kind in ("shifted", "tensor"):
         t = _require_int_t(_parse_t(args.t))
         return fock_mod.Mode.shifted_dual(t) if kind == "shifted" else fock_mod.Mode.tensor(t)
@@ -203,7 +201,7 @@ def _parse_word(word: str) -> list[tuple[str, int]]:
 
 
 def _parse_start(mode: fock_mod.Mode, text: str):
-    if mode.kind in ("plain", "twisted", "shifted"):
+    if mode.kind in ("plain", "shifted"):
         return _parse_partition(text)
     if mode.kind == "tensor":
         return _parse_bipartition(text)

@@ -1,5 +1,7 @@
-"""Fock-space style modules over sl_Z: tautological, plain, twisted/shifted
-duals, the bipartition tensor module, and finite wedge truncations.
+"""Fock-space style modules over sl_Z: tautological, plain, the shifted
+duals F_t^v, the bipartition tensor module, and finite wedge truncations.
+The restricted dual F^v of the t-not-in-Z picture F (x) F^v is the shifted
+dual at t = 0, so it has no rule of its own.
 
 Vectors are finite integer combinations stored as dicts from basis keys to
 coefficients; the operators are globally defined, so no truncation cutoff
@@ -21,7 +23,7 @@ Vector = dict
 class Mode:
     """Which module the generators act on."""
 
-    kind: str  # plain | twisted | shifted | tensor | taut | wedge
+    kind: str  # plain | shifted | tensor | taut | wedge
     t: Optional[int] = None
     n: Optional[int] = None
 
@@ -31,7 +33,7 @@ class Mode:
 
     @staticmethod
     def twisted_dual() -> "Mode":
-        return Mode("twisted")
+        return Mode.shifted_dual(0)
 
     @staticmethod
     def shifted_dual(t: int) -> "Mode":
@@ -59,7 +61,7 @@ def _add_into(vec: Vector, key: BasisKey, coeff: int) -> None:
 
 
 def _check_key(mode: Mode, key: BasisKey) -> None:
-    if mode.kind in ("plain", "twisted", "shifted"):
+    if mode.kind in ("plain", "shifted"):
         ok = isinstance(key, Partition)
     elif mode.kind == "tensor":
         ok = isinstance(key, Bipartition)
@@ -80,16 +82,13 @@ def _check_key(mode: Mode, key: BasisKey) -> None:
 def images(gen: str, mode: Mode, key: BasisKey) -> dict[int, Vector]:
     """The nonzero images {a: gen_a(key)} of a basis key under every f_a (gen
     "f") or every e_a (gen "e"), read off the box tables.  f_a adds a box of
-    content a (plain), or removes one of content -a (twisted) or -(a + t)
-    (shifted); on the tensor module it does both, black then white, and e_a
-    undoes each move.  On u_i, f_i gives u_{i+1}; on a wedge, f_a turns an
-    entry a into a + 1."""
+    content a (plain) or removes one of content -(a + t) (shifted); on the
+    tensor module it does both, black then white, and e_a undoes each move.
+    On u_i, f_i gives u_{i+1}; on a wedge, f_a turns an entry a into a + 1."""
     f = gen == "f"
     kind = mode.kind
     if kind == "plain":
         return {c: {nu: 1} for c, nu in key.box_table[0 if f else 1].items()}
-    if kind == "twisted":
-        return {-c: {nu: 1} for c, nu in key.box_table[1 if f else 0].items()}
     if kind == "shifted":
         return {-(c + mode.t): {nu: 1} for c, nu in key.box_table[1 if f else 0].items()}
     if kind == "tensor":
@@ -100,47 +99,28 @@ def images(gen: str, mode: Mode, key: BasisKey) -> dict[int, Vector]:
         return out
     if kind == "taut":
         return {key: {key + 1: 1}} if f else {key - 1: {key - 1: 1}}
-    # wedge: in-place replacement keeps strict decrease, so no sign arises
-    step = 1 if f else -1
-    return {
-        v if f else v - 1: {tuple(v + step if u == v else u for u in key): 1}
-        for v in key
-        if v + step not in key
-    }
-
-
-def _non_integer_image(gen: str, a, mode: Mode, key: BasisKey) -> Vector:
-    """gen_a(key) for a non-integer a.  No box has a non-integer content, so
-    the box modes give 0 once they form the content they would read (which
-    rejects an a that cannot be negated or shifted); the taut and wedge rules
-    compare a with the key's entries."""
-    kind = mode.kind
-    if kind in ("twisted", "shifted", "tensor"):
-        -(a if kind == "twisted" else a + mode.t)
-    elif kind == "taut":
-        if gen == "f" and key == a:
-            return {a + 1: 1}
-        if gen == "e" and key == a + 1:
-            return {a: 1}
-    elif kind == "wedge":
-        src, dst = (a, a + 1) if gen == "f" else (a + 1, a)
-        if src in key and dst not in key:
-            return {tuple(dst if v == src else v for v in key): 1}
-    return {}
+    if kind == "wedge":
+        # in-place replacement keeps strict decrease, so no sign arises
+        step = 1 if f else -1
+        return {
+            v if f else v - 1: {tuple(v + step if u == v else u for u in key): 1}
+            for v in key
+            if v + step not in key
+        }
+    raise ValueError(f"unknown mode {kind!r}")
 
 
 def apply_generator(gen: str, a: int, mode: Mode, vec: Vector) -> Vector:
-    """Linear extension of the generator action f_a or e_a."""
+    """Linear extension of the generator action f_a or e_a; the index a must
+    be an integer."""
     if gen not in ("f", "e"):
         raise ValueError(f"generator must be 'f' or 'e', got {gen!r}")
+    if not isinstance(a, int):
+        raise ValueError(f"generator index must be an integer, got {a!r}")
     out: Vector = {}
     for key, coeff in vec.items():
         _check_key(mode, key)
-        if isinstance(a, int):
-            image = images(gen, mode, key).get(a, {})
-        else:
-            image = _non_integer_image(gen, a, mode, key)
-        for new, c in image.items():
+        for new, c in images(gen, mode, key).get(a, {}).items():
             _add_into(out, new, coeff * c)
     return out
 
@@ -149,8 +129,6 @@ def h_eigenvalue(a: int, mode: Mode, key: BasisKey) -> int:
     """Diagonal eigenvalue of h_a on a basis vector, per module."""
     if mode.kind == "plain":
         return n_weight(key, a)
-    if mode.kind == "twisted":
-        return -n_weight(key, -a)
     if mode.kind == "shifted":
         return -n_weight(key, -(a + mode.t))
     if mode.kind == "tensor":
@@ -160,28 +138,6 @@ def h_eigenvalue(a: int, mode: Mode, key: BasisKey) -> int:
     if mode.kind == "wedge":
         return sum(1 for v in key if v == a) - sum(1 for v in key if v == a + 1)
     raise ValueError(f"unknown mode {mode.kind!r}")
-
-
-def apply_h(a: int, mode: Mode, vec: Vector) -> Vector:
-    out: Vector = {}
-    for key, coeff in vec.items():
-        _check_key(mode, key)
-        _add_into(out, key, coeff * h_eigenvalue(a, mode, key))
-    return out
-
-
-def commutator_defect(a: int, b: int, mode: Mode, vec: Vector) -> Vector:
-    """(e_a f_b - f_b e_a)(v) minus delta_ab h_a(v); zero when the sl_Z
-    relations hold."""
-    ef = apply_generator("e", a, mode, apply_generator("f", b, mode, vec))
-    fe = apply_generator("f", b, mode, apply_generator("e", a, mode, vec))
-    out = dict(ef)
-    for key, coeff in fe.items():
-        _add_into(out, key, -coeff)
-    if a == b:
-        for key, coeff in apply_h(a, mode, vec).items():
-            _add_into(out, key, -coeff)
-    return out
 
 
 def omega(nu: Partition) -> dict[int, int]:

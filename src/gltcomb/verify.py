@@ -46,8 +46,6 @@ class VerifyConfig:
     t_values: tuple[int, ...] = (-3, -2, -1, 0, 1, 2, 3)
     max_size: int = 4
     seed: int = 0
-    random_pairs: int = 200
-    random_diagrams: int = 60
 
 
 GOLDEN_DIAGRAMS = [
@@ -151,11 +149,10 @@ def cap_move_pair(rng: random.Random, t: int, max_size: int) -> tuple[Bipartitio
     return lam, rng.choice(list(caps_mod.lift_row(lam, t)))
 
 
-def check_equal_cores_weights(cfg: VerifyConfig, pairs: int | None = None) -> CheckResult:
+def check_equal_cores_weights(cfg: VerifyConfig, pairs: int = 200) -> CheckResult:
     res = CheckResult("diagrams.equal-cores-weights", 0)
     rng = random.Random(cfg.seed)
-    target = pairs if pairs is not None else cfg.random_pairs
-    for _ in range(target):
+    for _ in range(pairs):
         t = rng.choice(cfg.t_values)
         lam, mu = cap_move_pair(rng, t, cfg.max_size)
         res.instances += 1
@@ -340,11 +337,10 @@ def _enumerate_matchings(symbols: str) -> list[tuple[tuple[int, int], ...]]:
     return found
 
 
-def check_matching_uniqueness(cfg: VerifyConfig, diagrams: int | None = None) -> CheckResult:
+def check_matching_uniqueness(cfg: VerifyConfig, diagrams: int = 60) -> CheckResult:
     res = CheckResult("caps.matching-uniqueness", 0)
     rng = random.Random(cfg.seed + 2)
-    target = diagrams if diagrams is not None else cfg.random_diagrams
-    for _ in range(target):
+    for _ in range(diagrams):
         length = rng.randrange(4, 11)
         symbols = "".join(rng.choice([CROSS, CIRC, "<", ">"]) for _ in range(length))
         _, open_crosses = caps_mod.cap_scan(symbols, 0)
@@ -442,7 +438,7 @@ def _modes(cfg: VerifyConfig) -> list[fock_mod.Mode]:
 
 
 def _mode_basis(mode: fock_mod.Mode, max_size: int):
-    if mode.kind in ("plain", "twisted", "shifted"):
+    if mode.kind in ("plain", "shifted"):
         return partitions_up_to(max_size)
     if mode.kind == "tensor":
         return bipartitions_up_to(max_size)
@@ -455,8 +451,8 @@ def _mode_basis(mode: fock_mod.Mode, max_size: int):
 
 def check_commutators(cfg: VerifyConfig, gen_range: int | None = None, max_size: int | None = None) -> CheckResult:
     """[e_a, f_b] = delta_ab h_a on every basis vector of every mode: the
-    defect fock.commutator_defect computes, assembled by linearity from the
-    images of single basis vectors, each built once per mode.  The defect
+    defect (e_a f_b - f_b e_a - delta_ab h_a)(v), assembled by linearity from
+    the images of single basis vectors, each built once per mode.  The defect
     on v is 0 unless e_a v != 0, f_b v != 0 or a = b, so only those (a, b)
     are assembled, in the order of the full loop; every (a, b) counts as an
     instance."""

@@ -10,10 +10,17 @@ sharing their decode.
 `schur_polynomial` enumerates semistandard tableaux column by column.  Neither
 imports gltcomb.lr, so they check its horizontal-strip enumerator and its
 branching rule instead of sharing them.
+
+`commutator_defect` applies the generators to a whole vector, one
+`fock.apply_generator` call per factor, and subtracts h_a; it is the
+reference for the assembly `verify.check_commutators` makes from the images
+of single basis vectors.  It reads `fock` through the module, so a test that
+patches `fock.images` or `fock.h_eigenvalue` changes both sides.
 """
 
 from functools import lru_cache
 
+from gltcomb import fock
 from gltcomb.diagrams import CIRC, CROSS, GT
 from gltcomb.partitions import Bipartition, Partition
 
@@ -144,3 +151,25 @@ def schur_polynomial(nu: Partition, nvars: int) -> dict[Monomial, int]:
 
     fill_columns(0, (), (0,) * nvars)
     return poly
+
+
+def apply_h(a, mode, vec):
+    out = {}
+    for key, coeff in vec.items():
+        fock._check_key(mode, key)
+        fock._add_into(out, key, coeff * fock.h_eigenvalue(a, mode, key))
+    return out
+
+
+def commutator_defect(a, b, mode, vec):
+    """(e_a f_b - f_b e_a)(v) minus delta_ab h_a(v); zero when the sl_Z
+    relations hold."""
+    ef = fock.apply_generator("e", a, mode, fock.apply_generator("f", b, mode, vec))
+    fe = fock.apply_generator("f", b, mode, fock.apply_generator("e", a, mode, vec))
+    out = dict(ef)
+    for key, coeff in fe.items():
+        fock._add_into(out, key, -coeff)
+    if a == b:
+        for key, coeff in apply_h(a, mode, vec).items():
+            fock._add_into(out, key, -coeff)
+    return out
