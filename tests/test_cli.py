@@ -35,6 +35,23 @@ def test_diagram_json(capsys):
     assert set(payload["symbols"]) <= set("x><o")
 
 
+DIAGRAM_SHA256 = "739a322d915785cacd1a73a8f7e7c2d48eaf77da01dade1021d56a16d6aa847a"
+
+
+def test_diagram_output_is_pinned(capsys):
+    """`diagram` for every bipartition of size at most 4, both families,
+    t in [-4, 4] and generic, in both formats, hashes to a fixed digest."""
+    digest = hashlib.sha256()
+    for fmt in ("json", "text"):
+        for family in ("d", "dprime"):
+            for t in [*range(-4, 5), "generic"]:
+                for bp in bipartitions_up_to(4):
+                    argv = ["diagram", f"--t={t}", f"--family={family}", "--format", fmt, str(bp)]
+                    code, out, err = run(capsys, *argv)
+                    digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == DIAGRAM_SHA256
+
+
 def test_caps_output(capsys):
     code, out, _ = run(capsys, "caps", "--t", "0", "[[1],[1]]")
     assert code == 0
