@@ -12,7 +12,6 @@ from .diagrams import (
     GT,
     ParamT,
     _symbol_run,
-    is_generic,
     stable_window,
 )
 from .matrices import BipartitionMatrix
@@ -47,9 +46,8 @@ def lift_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
     crosses moved to their circle ends.  Moving cap (l, r) swaps r for l in
     the window's 'x' and '>' (black's beta-numbers black_i + t - i) and l for
     r in its 'o' and '>' (white's i - white_i - 1).  Shared by every caller
-    and by D(t, n); do not mutate it."""
-    if is_generic(t):
-        return {lam: 1}
+    and by D(t, n); do not mutate it.  At generic t the window holds no cross,
+    so no cap forms and the row is {lam: 1}."""
     left, right = stable_window(lam, t, FAMILY_DPRIME)
     symbols = _symbol_run(lam, t, FAMILY_DPRIME, left, right)
     caps, _ = cap_scan(symbols, left)

@@ -3,7 +3,10 @@
 A weight diagram labels every integer with one of the symbols
 'x' (cross), '>' , '<', 'o' (circle).  The d-family is built from the sets
 C = {black_i + t - i} and D = {white_i - i}; the dprime-family from
-C' = {black_i + t - i} and D' = Z minus {i - white_i - 1}.
+C' = {black_i + t - i} and D' = Z minus {i - white_i - 1}.  At generic t
+C lies off the integer lattice, so no position holds 'x' or '>'.  At every t
+one stable window [L, R] holds the diagram: each position outside it has the
+symbol at the window's nearer end ('x', or '<' at generic t, then 'o').
 """
 
 from __future__ import annotations
@@ -74,39 +77,35 @@ def symbol_at(lam: Bipartition, t: ParamT, family: str, s: int) -> str:
     return _symbol_run(lam, t, family, s, s)
 
 
-def stable_window(lam: Bipartition, t: int, family: str) -> tuple[int, int]:
-    """An interval [L, R] outside of which the diagram equals its tails."""
-    if is_generic(t):
-        raise ValueError("stable windows are defined for integer t only")
-    lb, lw = lam.black, lam.white
+def stable_window(lam: Bipartition, t: ParamT, family: str) -> tuple[int, int]:
+    """An interval [L, R] outside of which the diagram equals its tails: the
+    bounds of the D-type set, widened by the C set's at integer t (at generic
+    t the C set puts nothing on the lattice)."""
+    lw = lam.white
     if family == FAMILY_D:
-        left = min(t - lb.length, -lw.length) - 1
-        right = max(lb.row(1) + t, lw.row(1), 0)
+        left, right = -lw.length, max(lw.row(1), 0)
     elif family == FAMILY_DPRIME:
-        left = min(t - lb.length, -lw.row(1), 0) - 1
-        right = max(lb.row(1) + t, lw.length, 0)
+        left, right = min(-lw.row(1), 0), max(lw.length, 0)
     else:
         raise ValueError(f"unknown diagram family {family!r}")
-    return (left, right)
+    if not is_generic(t):
+        left, right = min(left, t - lam.black.length), max(right, lam.black.row(1) + t)
+    return (left - 1, right)
 
 
 @dataclass(frozen=True)
 class WeightDiagram:
     """A weight diagram with a finite active window and stable tails."""
 
-    source: Bipartition
     t: ParamT
     family: str
     window: tuple[int, int]
     symbols: str
 
     def symbol(self, s: int) -> str:
+        """The symbol at s; outside the window, the symbol at its nearer end."""
         left, right = self.window
-        if left <= s <= right:
-            return self.symbols[s - left]
-        if is_generic(self.t):
-            return symbol_at(self.source, self.t, self.family, s)
-        return CROSS if s < left else CIRC
+        return self.symbols[min(max(s, left), right) - left]
 
     def render(self) -> str:
         """Symbols over position labels, one column per position."""
@@ -126,21 +125,8 @@ class WeightDiagram:
 @lru_cache(maxsize=None)
 def build_diagram(lam: Bipartition, t: ParamT, family: str) -> WeightDiagram:
     """The weight diagram of lam, windowed to its stable region."""
-    if is_generic(t):
-        window = _generic_window(lam, family)
-    else:
-        window = stable_window(lam, t, family)
-    symbols = _symbol_run(lam, t, family, *window)
-    return WeightDiagram(lam, t, family, window, symbols)
-
-
-def _generic_window(lam: Bipartition, family: str) -> tuple[int, int]:
-    # Only the D-type set contributes symbols at integer positions; pick a
-    # window past which the '<' tail (d-family) or 'o' tail is uniform.
-    lw = lam.white
-    if family == FAMILY_D:
-        return (-lw.length - 1, max(lw.row(1), 0))
-    return (min(-lw.row(1), 0) - 1, max(lw.length, 0))
+    window = stable_window(lam, t, family)
+    return WeightDiagram(t, family, window, _symbol_run(lam, t, family, *window))
 
 
 def core_key(lam: Bipartition, t: int, family: str = FAMILY_DPRIME) -> tuple[tuple[int, str], ...]:
@@ -150,9 +136,10 @@ def core_key(lam: Bipartition, t: int, family: str = FAMILY_DPRIME) -> tuple[tup
     Outside the stable window both tails are circles once crosses are cored,
     so two diagrams have the same core exactly when their keys are equal.
     """
-    left, right = stable_window(lam, t, family)  # rejects generic t
-    symbols = _symbol_run(lam, t, family, left, right)
-    return tuple((left + k, sym) for k, sym in enumerate(symbols) if sym in (GT, LT))
+    if is_generic(t):
+        raise ValueError("core keys are defined for integer t only")
+    d = build_diagram(lam, t, family)
+    return tuple((s, sym) for s, sym in enumerate(d.symbols, d.window[0]) if sym in (GT, LT))
 
 
 def same_core(lam: Bipartition, mu: Bipartition, t: ParamT, family: str = FAMILY_DPRIME) -> bool:

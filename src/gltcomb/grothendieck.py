@@ -86,9 +86,8 @@ def a_matrix(a: int, t: ParamT, n: int, family: Optional[str] = None) -> Biparti
     """Translation matrix on the tilting basis, D * a_tilde * D^-1 computed at
     truncation n+1 and restricted to n.  Row lam is F_a T(lam) in the tilting
     basis: over the mu of D's row of lam, lift_row(lam, t), then the nu of
-    a_tilde's row of mu, the sum of D^-1's rows of nu, cut to size at most n."""
-    if is_generic(t):
-        return a_tilde(a, t, n, family)
+    a_tilde's row of mu, the sum of D^-1's rows of nu, cut to size at most n.
+    At generic t, D = D^-1 = I, so this is a_tilde(a, t, n, family)."""
     tilde = a_tilde(a, t, n + 1, family).rows
     m = BipartitionMatrix(n)
     for lam, lift in D_matrix(t, n + 1).rows.items():

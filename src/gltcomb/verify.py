@@ -171,11 +171,12 @@ def check_generic_symbols(cfg: VerifyConfig) -> CheckResult:
     res = CheckResult("diagrams.generic-symbols", 0)
     for lam in bipartitions_up_to(cfg.max_size):
         for family in (FAMILY_D, FAMILY_DPRIME):
-            d = build_diagram(lam, GENERIC, family)
-            for s in range(d.window[0] - 2, d.window[1] + 3):
+            left, right = diag_mod.stable_window(lam, GENERIC, family)
+            for s in range(left - 2, right + 3):
                 res.instances += 1
-                if d.symbol(s) not in (CIRC, "<"):
-                    res.failures.append(f"{family} of {lam}: symbol {d.symbol(s)} at {s}")
+                sym = diag_mod.symbol_at(lam, GENERIC, family, s)
+                if sym not in (CIRC, "<"):
+                    res.failures.append(f"{family} of {lam}: symbol {sym} at {s}")
     return res
 
 

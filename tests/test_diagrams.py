@@ -6,6 +6,7 @@ from gltcomb.diagrams import (
     FAMILY_D,
     FAMILY_DPRIME,
     GENERIC,
+    LT,
     build_diagram,
     core_key,
     same_core,
@@ -48,12 +49,13 @@ def test_transpose_lemma_small():
 
 
 def test_tails_are_crosses_then_circles():
+    """At generic t the lattice holds no cross, so the left tail is '<'."""
     lam = Bipartition.of((3, 1), (2,))
-    for t in (-2, 0, 2):
+    for t in (-2, 0, 2, GENERIC):
         for family in (FAMILY_D, FAMILY_DPRIME):
             left, right = stable_window(lam, t, family)
             for s in range(left - 5, left):
-                assert symbol_at(lam, t, family, s) == CROSS
+                assert symbol_at(lam, t, family, s) == (LT if t == GENERIC else CROSS)
             for s in range(right + 1, right + 6):
                 assert symbol_at(lam, t, family, s) == CIRC
 
@@ -66,9 +68,26 @@ def test_generic_t_has_no_crosses_or_gt():
                 assert d.symbol(s) in (CIRC, "<")
 
 
-def test_stable_window_rejects_generic():
-    with pytest.raises(ValueError):
-        stable_window(Bipartition.of((), ()), GENERIC, FAMILY_D)
+def test_stable_window_at_generic_t_drops_the_black_bounds():
+    """The generic window is the integer one without the C set's bounds,
+    t - len(black) on the left and black_1 + t on the right."""
+    for lam in bipartitions_up_to(5):
+        lw = lam.white
+        assert stable_window(lam, GENERIC, FAMILY_D) == (-lw.length - 1, max(lw.row(1), 0))
+        assert stable_window(lam, GENERIC, FAMILY_DPRIME) == (min(-lw.row(1), 0) - 1, max(lw.length, 0))
+        with pytest.raises(ValueError):
+            core_key(lam, GENERIC)
+
+
+@pytest.mark.parametrize("family", [FAMILY_D, FAMILY_DPRIME])
+def test_symbol_outside_the_window_is_the_per_position_rule(family):
+    """WeightDiagram.symbol reads the nearer end of the window outside it;
+    that agrees with symbol_at everywhere, at integer and generic t."""
+    for lam in bipartitions_up_to(5):
+        for t in [*range(-5, 6), GENERIC]:
+            d = build_diagram(lam, t, family)
+            for s in range(d.window[0] - 5, d.window[1] + 6):
+                assert d.symbol(s) == symbol_at(lam, t, family, s), (lam, t, s)
 
 
 def test_same_core_examples():

@@ -19,7 +19,7 @@ from gltcomb.grothendieck import (
 )
 from gltcomb.lr import B_matrix
 from gltcomb.matrices import BipartitionMatrix
-from gltcomb.partitions import Bipartition, bipartitions_up_to
+from gltcomb.partitions import Bipartition, bipartitions_up_to, n_weight
 
 VAC = Bipartition.of((), ())
 ONE = Bipartition.of((1,), (1,))
@@ -130,7 +130,62 @@ def test_a_matrix_reports_negative_entry(monkeypatch):
 
 
 def test_a_matrix_generic_equals_a_tilde():
-    assert a_matrix(1, GENERIC, 3, INTEGER_FAMILY) == a_tilde(1, GENERIC, 3, INTEGER_FAMILY)
+    """At generic t no cap forms, so D = I and the conjugation is a_tilde."""
+    for family in (INTEGER_FAMILY, SHIFTED_FAMILY):
+        for n in range(6):
+            for a in range(-4, 5):
+                assert a_matrix(a, GENERIC, n, family) == a_tilde(a, GENERIC, n, family), (family, a, n)
+
+
+def _row_difference(x, y, lam):
+    """Row lam of x minus row lam of y, zeros dropped."""
+    diff = dict(x.get(lam, {}))
+    for mu, v in y.get(lam, {}).items():
+        diff[mu] = diff.get(mu, 0) - v
+    return {mu: v for mu, v in diff.items() if v}
+
+
+def test_generic_t_relations():
+    """At generic t the two families are commuting copies of sl_Z: on the
+    interior rows of truncation 5, in the row-vector convention (F then E is
+    F.mul(E)), [E_a, F_b] is delta_ab h_a within a family and 0 across
+    families, where h^int_a(lam) = n_weight(black, a) and
+    h^sh_a(lam) = -n_weight(white, -a); and F^int_a commutes with F^sh_b."""
+    n, gens = 5, range(-4, 5)
+    interior = [lam for lam in bipartitions_up_to(n) if lam.size <= n - 1]
+    h = {
+        INTEGER_FAMILY: lambda lam, a: n_weight(lam.black, a),
+        SHIFTED_FAMILY: lambda lam, a: -n_weight(lam.white, -a),
+    }
+    families = (INTEGER_FAMILY, SHIFTED_FAMILY)
+    f = {(fam, b): a_tilde(b, GENERIC, n, fam) for fam in families for b in gens}
+    e = {(fam, a): e_tilde(a, GENERIC, n, fam) for fam in families for a in gens}
+    instances, failures = 0, []
+    for e_fam in families:
+        for f_fam in families:
+            for a in gens:
+                for b in gens:
+                    e_mat, f_mat = e[e_fam, a], f[f_fam, b]
+                    fe, ef = f_mat.mul(e_mat).rows, e_mat.mul(f_mat).rows
+                    for lam in interior:
+                        instances += 1
+                        want = h[e_fam](lam, a) if (e_fam, a) == (f_fam, b) else 0
+                        want = {lam: want} if want else {}
+                        if _row_difference(fe, ef, lam) != want:
+                            failures.append((e_fam, a, f_fam, b, lam))
+    assert instances == 12312
+    assert failures == []
+    instances = 0
+    for a in gens:
+        for b in gens:
+            f_int, f_sh = f[INTEGER_FAMILY, a], f[SHIFTED_FAMILY, b]
+            one, other = f_int.mul(f_sh).rows, f_sh.mul(f_int).rows
+            for lam in interior:
+                instances += 1
+                if _row_difference(one, other, lam):
+                    failures.append((a, b, lam))
+    assert instances == 3078
+    assert failures == []
 
 
 def test_a_matrix_above_diagonal():
