@@ -221,6 +221,35 @@ def test_fock_output_is_pinned(capsys):
     assert digest.hexdigest() == FOCK_SHA256
 
 
+PAIR_AND_LR_SHA256 = "b5ffab9ec3969f88856feb20a660656ea2e72e702e6367f29dff25a09bc68d2a"
+
+
+def test_pair_and_lr_output_is_pinned(capsys):
+    """`mult`, `homdim` and `eigen` on every pair of bipartitions of size at
+    most 2, t in [-4, 4] and generic, and `lr` on every triple of partitions
+    of size at most 3, in both formats, malformed input included, hash to a
+    fixed digest."""
+    bipartitions = [str(bp) for bp in bipartitions_up_to(2)] + ["nonsense", "[[1,0,1],[]]"]
+    partitions = [str(nu) for nu in partitions_up_to(3)] + ["[x]"]
+    digest = hashlib.sha256()
+
+    def update(argv):
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+
+    for fmt in ("json", "text"):
+        for cmd in ("mult", "homdim", "eigen"):
+            for t in [*range(-4, 5), "generic"]:
+                for lam in bipartitions:
+                    for mu in bipartitions:
+                        update([cmd, f"--t={t}", "--format", fmt, lam, mu])
+        for lam in partitions:
+            for mu in partitions:
+                for kappa in partitions:
+                    update(["lr", "--format", fmt, lam, mu, kappa])
+    assert digest.hexdigest() == PAIR_AND_LR_SHA256
+
+
 def test_lr(capsys):
     code, out, _ = run(capsys, "lr", "[3,2,1]", "[2,1]", "[2,1]")
     assert code == 0
