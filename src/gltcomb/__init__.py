@@ -27,7 +27,6 @@ from .fock import (
     Mode,
     apply_generator,
     dominance_leq,
-    energy,
     omega,
     phi_n,
     pi_n,
@@ -71,7 +70,6 @@ __all__ = [
     "Mode",
     "apply_generator",
     "dominance_leq",
-    "energy",
     "omega",
     "phi_n",
     "pi_n",

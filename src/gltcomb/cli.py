@@ -35,16 +35,10 @@ def _parse_t(text: str):
         raise CliError(f"--t must be an integer or 'generic', got {text!r}") from None
 
 
-def _parse_bipartition(text: str) -> Bipartition:
+def _parse(kind, text: str):
+    """`kind.parse(text)` for Partition or Bipartition, a ValueError as CliError."""
     try:
-        return Bipartition.parse(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _parse_partition(text: str) -> Partition:
-    try:
-        return Partition.parse(text)
+        return kind.parse(text)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -77,7 +71,7 @@ def _emit(args, text_output: str, json_output) -> None:
 
 
 def cmd_diagram(args) -> int:
-    lam = _parse_bipartition(args.bipartition)
+    lam = _parse(Bipartition, args.bipartition)
     t = _parse_t(args.t)
     d = diag_mod.build_diagram(lam, t, args.family)
     _emit(args, d.render(), d.to_json())
@@ -85,7 +79,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_caps(args) -> int:
-    lam = _parse_bipartition(args.bipartition)
+    lam = _parse(Bipartition, args.bipartition)
     t = _require_int_t(_parse_t(args.t))
     d = diag_mod.build_diagram(lam, t, diag_mod.FAMILY_DPRIME)
     caps, _ = caps_mod.cap_scan(d.symbols, d.window[0])
@@ -94,16 +88,25 @@ def cmd_caps(args) -> int:
     return 0
 
 
-def cmd_mult(args) -> int:
-    lam = _parse_bipartition(args.lam)
-    mu = _parse_bipartition(args.mu)
+def cmd_pair(args) -> int:
+    """`mult` and `homdim`: the integer `args.query(lam, mu, t)`."""
+    lam = _parse(Bipartition, args.lam)
+    mu = _parse(Bipartition, args.mu)
     t = _parse_t(args.t)
-    val = caps_mod.mult_D(lam, mu, t)
+    val = args.query(lam, mu, t)
     _emit(args, str(val), {"t": t, "lam": lam.to_json(), "mu": mu.to_json(), "val": val})
     return 0
 
 
-MATRIX_KINDS = ["D", "Dinv", "B", "b", "atilde", "etilde", "A"]
+MATRIX_KINDS = {
+    "D": lambda a, t, n, family: caps_mod.D_matrix(t, n),
+    "Dinv": lambda a, t, n, family: caps_mod.D_inverse(t, n),
+    "B": lambda a, t, n, family: lr_mod.B_matrix(n),
+    "b": lambda a, t, n, family: groth_mod.b_matrix(t, n),
+    "atilde": groth_mod.a_tilde,
+    "etilde": groth_mod.e_tilde,
+    "A": groth_mod.a_matrix,
+}
 
 
 def cmd_matrix(args) -> int:
@@ -113,23 +116,9 @@ def cmd_matrix(args) -> int:
     needs_a = kind in ("atilde", "etilde", "A")
     if needs_a and args.a is None:
         raise CliError(f"matrix kind {kind!r} needs --a")
-    family = args.family
-    if needs_a and diag_mod.is_generic(t) and family is None:
+    if needs_a and diag_mod.is_generic(t) and args.family is None:
         raise CliError(f"matrix kind {kind!r} at generic t needs --family")
-    if kind == "D":
-        m = caps_mod.D_matrix(t, n)
-    elif kind == "Dinv":
-        m = caps_mod.D_inverse(t, n)
-    elif kind == "B":
-        m = lr_mod.B_matrix(n)
-    elif kind == "b":
-        m = groth_mod.b_matrix(t, n)
-    elif kind == "atilde":
-        m = groth_mod.a_tilde(args.a, t, n, family)
-    elif kind == "etilde":
-        m = groth_mod.e_tilde(args.a, t, n, family)
-    else:
-        m = groth_mod.a_matrix(args.a, t, n, family)
+    m = MATRIX_KINDS[kind](args.a, t, n, args.family)
     if args.format == "json":
         _emit(args, None, m.to_json(t=t))
     else:
@@ -138,7 +127,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    lam = _parse_bipartition(args.bipartition)
+    lam = _parse(Bipartition, args.bipartition)
     t = _parse_t(args.t)
     row = sorted(groth_mod.b_row(lam, t).items(), key=lambda mv: (mv[0].size, str(mv[0])))
     text = "\n".join(f"{mu}: {v}" for mu, v in row)
@@ -148,18 +137,9 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_homdim(args) -> int:
-    lam = _parse_bipartition(args.lam)
-    mu = _parse_bipartition(args.mu)
-    t = _parse_t(args.t)
-    val = groth_mod.hom_dim(lam, mu, t)
-    _emit(args, str(val), {"t": t, "lam": lam.to_json(), "mu": mu.to_json(), "val": val})
-    return 0
-
-
 def cmd_eigen(args) -> int:
-    lam = _parse_bipartition(args.lam)
-    mu = _parse_bipartition(args.mu)
+    lam = _parse(Bipartition, args.lam)
+    mu = _parse(Bipartition, args.mu)
     t = _parse_t(args.t)
     label = groth_mod.x_eigenvalue(lam, mu, t)
     if label is None:
@@ -172,7 +152,7 @@ def cmd_eigen(args) -> int:
 
 def _parse_mode(args) -> fock_mod.Mode:
     kind = args.mode
-    fixed = {"plain": fock_mod.Mode.plain, "twisted": fock_mod.Mode.twisted_dual,
+    fixed = {"plain": fock_mod.Mode.plain, "twisted": lambda: fock_mod.Mode.shifted_dual(0),
              "taut": fock_mod.Mode.tautological}
     if kind in fixed:
         return fixed[kind]()
@@ -202,9 +182,9 @@ def _parse_word(word: str) -> list[tuple[str, int]]:
 
 def _parse_start(mode: fock_mod.Mode, text: str):
     if mode.kind in ("plain", "shifted"):
-        return _parse_partition(text)
+        return _parse(Partition, text)
     if mode.kind == "tensor":
-        return _parse_bipartition(text)
+        return _parse(Bipartition, text)
     if mode.kind == "taut":
         try:
             return int(text)
@@ -231,9 +211,9 @@ def cmd_fock(args) -> int:
 
 
 def cmd_lr(args) -> int:
-    lam = _parse_partition(args.lam)
-    mu = _parse_partition(args.mu)
-    kappa = _parse_partition(args.kappa)
+    lam = _parse(Partition, args.lam)
+    mu = _parse(Partition, args.mu)
+    kappa = _parse(Partition, args.kappa)
     val = lr_mod.lr_coeff(lam, mu, kappa)
     _emit(args, str(val), {"lam": lam.to_json(), "mu": mu.to_json(), "kappa": kappa.to_json(), "val": val})
     return 0
@@ -275,10 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gltcomb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, t_default="0"):
+    def common(p, t=True):
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--t", default=t_default, help="integer parameter or 'generic'")
+        if t:
+            p.add_argument("--t", default="0", help="integer parameter or 'generic'")
 
     p = sub.add_parser("diagram", help="render a weight diagram")
     common(p)
@@ -295,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("lam")
     p.add_argument("mu")
-    p.set_defaults(func=cmd_mult)
+    p.set_defaults(func=cmd_pair, query=caps_mod.mult_D)
 
     p = sub.add_parser("matrix", help="bipartition-indexed matrices")
     common(p)
@@ -315,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("lam")
     p.add_argument("mu")
-    p.set_defaults(func=cmd_homdim)
+    p.set_defaults(func=cmd_pair, query=groth_mod.hom_dim)
 
     p = sub.add_parser("eigen", help="content-operator eigenvalue label")
     common(p)
@@ -333,16 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fock)
 
     p = sub.add_parser("lr", help="Littlewood-Richardson coefficient")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
+    common(p, t=False)
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("kappa")
     p.set_defaults(func=cmd_lr)
 
     p = sub.add_parser("verify", help="run the full invariant suite")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
+    common(p, t=False)
     p.add_argument("--t-range", default="-2..2")
     p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

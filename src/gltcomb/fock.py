@@ -32,10 +32,6 @@ class Mode:
         return Mode("plain")
 
     @staticmethod
-    def twisted_dual() -> "Mode":
-        return Mode.shifted_dual(0)
-
-    @staticmethod
     def shifted_dual(t: int) -> "Mode":
         return Mode("shifted", t=t)
 
@@ -173,20 +169,6 @@ def dominance_leq(lam: Bipartition, mu: Bipartition, t: int) -> bool:
 def partition_to_sequence(nu: Partition, n: int) -> tuple[int, ...]:
     """The first n entries of (nu_1, nu_2 - 1, nu_3 - 2, ...)."""
     return tuple(nu.row(i) - (i - 1) for i in range(1, n + 1))
-
-
-def energy(arg) -> Optional[int]:
-    """Energy of a wedge basis sequence, or |nu| on the partition basis.
-    Returns None for sequences outside every filtration piece."""
-    if isinstance(arg, Partition):
-        return arg.size
-    total = 0
-    for s, entry in enumerate(arg):
-        term = entry + s
-        if term < 0:
-            return None
-        total += term
-    return total
 
 
 def pi_n(vec: Vector, n: int) -> Vector:

@@ -86,12 +86,6 @@ class Partition:
         """The unique partition in nu - box_a, or None (also for non-integer a)."""
         return self.box_table[1].get(a) if isinstance(a, int) else None
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All cells (row, column), 1-based."""
-        for i, r in enumerate(self.rows, start=1):
-            for j in range(1, r + 1):
-                yield (i, j)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(r) for r in self.rows) + "]"
 

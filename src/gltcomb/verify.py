@@ -430,12 +430,12 @@ def check_b_unitriangular(cfg: VerifyConfig) -> CheckResult:
 
 
 def _modes(cfg: VerifyConfig) -> list[fock_mod.Mode]:
-    modes = [fock_mod.Mode.plain(), fock_mod.Mode.twisted_dual(), fock_mod.Mode.tautological()]
+    modes = [fock_mod.Mode.plain(), fock_mod.Mode.shifted_dual(0), fock_mod.Mode.tautological()]
     for t in cfg.t_values:
         modes.append(fock_mod.Mode.shifted_dual(t))
         modes.append(fock_mod.Mode.tensor(t))
     modes.append(fock_mod.Mode.wedge(3))
-    return modes
+    return list(dict.fromkeys(modes))  # shifted_dual(0) is also the t-loop's at t = 0
 
 
 def _mode_basis(mode: fock_mod.Mode, max_size: int):
@@ -722,8 +722,7 @@ def check_matrix_commutators(cfg: VerifyConfig, gen_range: int | None = None, ma
                     for mu, v in ef.get(lam, {}).items():
                         diff[mu] = diff.get(mu, 0) - v
                     if a == b:
-                        h = n_weight(lam.black, a) - n_weight(lam.white, -(a + t))
-                        diff[lam] = diff.get(lam, 0) - h
+                        diff[lam] = diff.get(lam, 0) - fock_mod.h_eigenvalue(a, fock_mod.Mode.tensor(t), lam)
                     bad = [pos[mu] for mu, v in diff.items() if v]
                     if bad:  # report the first offending mu, in index order
                         res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {lam}->{index[min(bad)]}")

@@ -318,7 +318,7 @@ def test_verify_json_deterministic(capsys):
     assert len(payload["checks"]) == 34
 
 
-VERIFY_JSON_SHA256 = "1d8f281683487800d98c8a0c7fde547b4ce2b7c6c409d4fed6199a338a8db880"
+VERIFY_JSON_SHA256 = "e75f8c231f5c871be05eb9320b1ed22d0901e7bd24e107cb6b18bb7cb38cdfa1"
 
 
 def test_default_verify_json_is_pinned(capsys):

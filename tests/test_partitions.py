@@ -49,7 +49,6 @@ def test_basic_stats():
     assert nu.length == 3
     assert nu.row(1) == 4
     assert nu.row(10) == 0
-    assert list(nu.cells()) == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)]
 
 
 def test_transpose():
