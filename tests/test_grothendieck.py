@@ -129,6 +129,46 @@ def test_a_matrix_reports_negative_entry(monkeypatch):
     assert named in negative
 
 
+def test_b_matrix_reports_first_negative_entry_in_index_order(monkeypatch):
+    """D^-1 rows made negative on purpose: b_matrix and check_nonnegative name
+    the first negative entry of B D^-1, rows in index order and each row's
+    entries in the order the zero-dropping product first stores them."""
+    from gltcomb import verify
+
+    t, n = 0, 4
+    box = Bipartition.of((1,), ())
+
+    # Every size-2 row gains -3 at box, then -5 at VAC.  The first negative
+    # row is [[],[1,1]] in index order but [[1],[1]] in B's own row order, and
+    # its first negative entry is at box, which sorts after VAC.
+    def defective(nu, t_):
+        row = inverse_row(nu, t_)
+        if nu.size != 2:
+            return row
+        return {**row, box: row.get(box, 0) - 3, VAC: row.get(VAC, 0) - 5}
+
+    monkeypatch.setattr(grothendieck, "inverse_row", defective)
+    B = B_matrix(n).rows
+    negative = []
+    for lam in bipartitions_up_to(n):
+        row: dict = {}
+        for nu, v in B[lam].items():
+            for mu, w in defective(nu, t).items():
+                acc = row.get(mu, 0) + v * w
+                if acc:
+                    row[mu] = acc
+                else:
+                    del row[mu]
+        negative += [f"negative tilting multiplicity {v} at ({lam}, {mu}), t={t}"
+                     for mu, v in row.items() if v < 0]
+    assert len(negative) > 1
+    with pytest.raises(InternalInconsistencyError) as exc:
+        b_matrix(t, n)
+    assert str(exc.value) == negative[0]
+    res = verify.check_nonnegative(verify.VerifyConfig(), gen_range=0, t_values=[t], max_size=n)
+    assert res.failures[0] == negative[0]
+
+
 def test_a_matrix_generic_equals_a_tilde():
     """At generic t no cap forms, so D = I and the conjugation is a_tilde."""
     for family in (INTEGER_FAMILY, SHIFTED_FAMILY):
