@@ -14,7 +14,7 @@ from .diagrams import (
     _symbol_run,
     stable_window,
 )
-from .matrices import BipartitionMatrix
+from .matrices import BipartitionMatrix, add_into
 from .partitions import Bipartition, bipartitions_up_to
 
 
@@ -92,11 +92,7 @@ def inverse_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
         if nu.size >= lam.size:
             raise ValueError(f"D({t}) is not unitriangular in the size order at ({lam}, {nu})")
         for mu, w in inverse_row(nu, t).items():
-            acc = row.get(mu, 0) - w
-            if acc:
-                row[mu] = acc
-            else:
-                del row[mu]
+            add_into(row, mu, -w)
     return row
 
 

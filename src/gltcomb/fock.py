@@ -4,8 +4,8 @@ The restricted dual F^v of the t-not-in-Z picture F (x) F^v is the shifted
 dual at t = 0, so it has no rule of its own.
 
 Vectors are finite integer combinations stored as dicts from basis keys to
-coefficients; the operators are globally defined, so no truncation cutoff
-enters the action itself.
+nonzero coefficients, kept so by matrices.add_into; the operators are
+globally defined, so no truncation cutoff enters the action itself.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .matrices import add_into
 from .partitions import Bipartition, Partition, n_weight
 
 BasisKey = Union[Partition, Bipartition, int, tuple]
@@ -46,14 +47,6 @@ class Mode:
     @staticmethod
     def wedge(n: int) -> "Mode":
         return Mode("wedge", n=n)
-
-
-def _add_into(vec: Vector, key: BasisKey, coeff: int) -> None:
-    acc = vec.get(key, 0) + coeff
-    if acc:
-        vec[key] = acc
-    else:
-        vec.pop(key, None)
 
 
 def _check_key(mode: Mode, key: BasisKey) -> None:
@@ -117,7 +110,7 @@ def apply_generator(gen: str, a: int, mode: Mode, vec: Vector) -> Vector:
     for key, coeff in vec.items():
         _check_key(mode, key)
         for new, c in images(gen, mode, key).get(a, {}).items():
-            _add_into(out, new, coeff * c)
+            add_into(out, new, coeff * c)
     return out
 
 
@@ -147,7 +140,7 @@ def tensor_weight(lam: Bipartition, t: int) -> dict[int, int]:
     a -> n_weight(lam.black, a) - n_weight(lam.white, -(a + t))."""
     weight = omega(lam.black)
     for c, v in omega(lam.white).items():
-        _add_into(weight, -(c + t), -v)
+        add_into(weight, -(c + t), -v)
     return weight
 
 
@@ -178,7 +171,7 @@ def pi_n(vec: Vector, n: int) -> Vector:
     out: Vector = {}
     for nu, coeff in vec.items():
         _check_key(Mode.plain(), nu)
-        _add_into(out, partition_to_sequence(nu, n), coeff)
+        add_into(out, partition_to_sequence(nu, n), coeff)
     return out
 
 
@@ -188,7 +181,7 @@ def phi_n(vec: Vector) -> Vector:
     for seq, coeff in vec.items():
         if not isinstance(seq, tuple) or len(seq) < 2:
             raise ValueError("phi needs wedge sequences of length at least 2")
-        _add_into(out, seq[:-1], coeff)
+        add_into(out, seq[:-1], coeff)
     return out
 
 

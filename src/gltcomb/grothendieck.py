@@ -11,7 +11,7 @@ from typing import Optional
 from .caps import D_matrix, inverse_row, lift_row
 from .diagrams import ParamT, is_generic
 from .lr import B_matrix
-from .matrices import BipartitionMatrix
+from .matrices import BipartitionMatrix, add_into, product
 from .partitions import Bipartition, bipartitions_up_to
 
 INTEGER_FAMILY = "integer"
@@ -82,6 +82,18 @@ class InternalInconsistencyError(RuntimeError):
     """A derived multiplicity came out negative."""
 
 
+def _nonnegative(rows: dict, where: str) -> dict:
+    """rows, checked nonnegative: the first negative entry in row order, then
+    entry order, raises InternalInconsistencyError naming it and where."""
+    for lam, row in rows.items():
+        for mu, v in row.items():
+            if v < 0:
+                raise InternalInconsistencyError(
+                    f"negative tilting multiplicity {v} at ({lam}, {mu}), {where}"
+                )
+    return rows
+
+
 def a_matrix(a: int, t: ParamT, n: int, family: Optional[str] = None) -> BipartitionMatrix:
     """Translation matrix on the tilting basis, D * a_tilde * D^-1 computed at
     truncation n+1 and restricted to n.  Row lam is F_a T(lam) in the tilting
@@ -89,7 +101,7 @@ def a_matrix(a: int, t: ParamT, n: int, family: Optional[str] = None) -> Biparti
     a_tilde's row of mu, the sum of D^-1's rows of nu, cut to size at most n.
     At generic t, D = D^-1 = I, so this is a_tilde(a, t, n, family)."""
     tilde = a_tilde(a, t, n + 1, family).rows
-    m = BipartitionMatrix(n)
+    rows: dict[Bipartition, dict[Bipartition, int]] = {}
     for lam, lift in D_matrix(t, n + 1).rows.items():
         if lam.size > n:
             break  # D's rows run in index order, by ascending size
@@ -98,50 +110,26 @@ def a_matrix(a: int, t: ParamT, n: int, family: Optional[str] = None) -> Biparti
             for nu in tilde.get(mu, ()):
                 for kappa, w in inverse_row(nu, t).items():
                     if kappa.size <= n:
-                        acc = row.get(kappa, 0) + w
-                        if acc:
-                            row[kappa] = acc
-                        else:
-                            del row[kappa]
-        for kappa, v in row.items():
-            if v < 0:
-                raise InternalInconsistencyError(
-                    f"negative tilting multiplicity {v} at ({lam}, {kappa}), a={a}, t={t}"
-                )
+                        add_into(row, kappa, w)
         if row:
-            m.rows[lam] = row
-    return m
+            rows[lam] = row
+    return BipartitionMatrix(n, _nonnegative(rows, f"a={a}, t={t}"))
 
 
-def b_row(
-    lam: Bipartition, t: ParamT, B_lam: Optional[dict[Bipartition, int]] = None
-) -> dict[Bipartition, int]:
+def b_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
     """lam's row of b(t) = B D(t)^-1, the same in every truncation n >= |lam|:
-    B's row of lam (B_lam, read from B(|lam|) when not given) times the rows
-    of D(t)^-1, checked nonnegative."""
-    if B_lam is None:
-        B_lam = B_matrix(lam.size).rows[lam]
-    row: dict[Bipartition, int] = {}
-    for nu, v in B_lam.items():
-        for mu, w in inverse_row(nu, t).items():
-            acc = row.get(mu, 0) + v * w
-            if acc:
-                row[mu] = acc
-            else:
-                del row[mu]
-    for mu, v in row.items():
-        if v < 0:
-            raise InternalInconsistencyError(
-                f"negative tilting multiplicity {v} at ({lam}, {mu}), t={t}"
-            )
-    return row
+    B(|lam|)'s row of lam times the rows of D(t)^-1, checked nonnegative."""
+    row = product({lam: B_matrix(lam.size).rows[lam]}, inverse_row, t)
+    return _nonnegative(row, f"t={t}").get(lam, {})
 
 
 def b_matrix(t: ParamT, n: int) -> BipartitionMatrix:
     """Multiplicities of indecomposable tiltings in the mixed Schur-functor
-    tensor objects: B times the inverse of the lift-multiplicity matrix."""
+    tensor objects: B's rows, in index order, times the inverse of the
+    lift-multiplicity matrix."""
     B = B_matrix(n).rows
-    return BipartitionMatrix(n, {lam: b_row(lam, t, B[lam]) for lam in bipartitions_up_to(n)})
+    rows = product({lam: B[lam] for lam in bipartitions_up_to(n)}, inverse_row, t)
+    return BipartitionMatrix(n, _nonnegative(rows, f"t={t}"))
 
 
 def hom_dim(lam: Bipartition, mu: Bipartition, t: ParamT) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .matrices import BipartitionMatrix
+from .matrices import BipartitionMatrix, add_into
 from .partitions import Bipartition, Partition, bipartitions_up_to, partitions_of
 
 
@@ -132,11 +132,7 @@ def schur_product_oracle(mu: Partition, kappa: Partition, nvars: int) -> dict[Pa
             continue
         inversions = sum(x < y for i, x in enumerate(alpha) for y in alpha[i + 1 :])
         lam = Partition.of(*(v - r for v, r in zip(sorted(alpha, reverse=True), rho)))
-        acc = result.get(lam, 0) + (-coeff if inversions % 2 else coeff)
-        if acc:
-            result[lam] = acc
-        else:
-            del result[lam]
+        add_into(result, lam, -coeff if inversions % 2 else coeff)
     # Largest shape first, whatever the order of the monomials of s_kappa.
     return {lam: result[lam] for lam in sorted(result, reverse=True)}
 

@@ -11,6 +11,37 @@ def sort_key(bp: Bipartition):
     return (bp.size, bp.black.rows, bp.white.rows)
 
 
+def add_into(vec: dict, key, coeff: int) -> None:
+    """vec[key] += coeff, deleting key when the sum is 0: the one update that
+    keeps a sparse row or vector to its nonzero values."""
+    acc = vec.get(key, 0) + coeff
+    if acc:
+        vec[key] = acc
+    else:
+        vec.pop(key, None)
+
+
+def product(rows: dict, row_of, *args) -> dict:
+    """The sparse product {r: sum over k of rows[r][k] * row_of(k, *args)},
+    with zeros dropped and empty rows left out, in the order of rows.  Every
+    output row is a new dict, so no row that is read is written.  The inner
+    loop is add_into's update written out, as a call per entry costs the
+    products about a tenth of their time."""
+    out = {}
+    for r, row in rows.items():
+        acc: dict = {}
+        for k, v in row.items():
+            for c, w in row_of(k, *args).items():
+                total = acc.get(c, 0) + v * w
+                if total:
+                    acc[c] = total
+                else:
+                    del acc[c]
+        if acc:
+            out[r] = acc
+    return out
+
+
 @dataclass
 class BipartitionMatrix:
     """Sparse integer matrix over bipartitions of size <= n, stored by rows:
@@ -51,19 +82,7 @@ class BipartitionMatrix:
     def mul(self, other: "BipartitionMatrix") -> "BipartitionMatrix":
         if self.n != other.n:
             raise ValueError("size bounds differ")
-        result = BipartitionMatrix(self.n)
-        for r, row in self.rows.items():
-            acc: dict[Bipartition, int] = {}
-            for k, v in row.items():
-                for c, w in other.rows.get(k, {}).items():
-                    total = acc.get(c, 0) + v * w
-                    if total:
-                        acc[c] = total
-                    else:
-                        del acc[c]
-            if acc:
-                result.rows[r] = acc
-        return result
+        return BipartitionMatrix(self.n, product(self.rows, other.rows.get, {}))
 
     def transpose(self) -> "BipartitionMatrix":
         result = BipartitionMatrix(self.n)

@@ -18,7 +18,7 @@ from . import fock as fock_mod
 from . import grothendieck as groth_mod
 from . import lr as lr_mod
 from .diagrams import CIRC, CROSS, FAMILY_D, FAMILY_DPRIME, GENERIC, build_diagram
-from .matrices import BipartitionMatrix
+from .matrices import BipartitionMatrix, add_into
 from .partitions import (
     Bipartition,
     Partition,
@@ -461,7 +461,6 @@ def check_commutators(cfg: VerifyConfig, gen_range: int | None = None, max_size:
     rng = gen_range if gen_range is not None else min(cfg.max_size, 4)
     bound = max_size if max_size is not None else cfg.max_size
     gens = range(-rng, rng + 1)
-    add = fock_mod._add_into
     for mode in _modes(cfg):
         memo: dict = {}
 
@@ -492,12 +491,12 @@ def check_commutators(cfg: VerifyConfig, gen_range: int | None = None, max_size:
                     defect: fock_mod.Vector = {}
                     for c, e_images in f_side:
                         for out, c2 in e_images.get(a, {}).items():
-                            add(defect, out, c * c2)
+                            add_into(defect, out, c * c2)
                     for c, f_images in e_side:
                         for out, c2 in f_images.get(b, {}).items():
-                            add(defect, out, -c * c2)
+                            add_into(defect, out, -c * c2)
                     if a == b:
-                        add(defect, key, -fock_mod.h_eigenvalue(a, mode, key))
+                        add_into(defect, key, -fock_mod.h_eigenvalue(a, mode, key))
                     if defect:
                         res.failures.append(f"mode {mode.kind}, key {key}, a={a}, b={b}")
     return res
@@ -525,9 +524,9 @@ def check_serre(cfg: VerifyConfig) -> CheckResult:
                     res.instances += 1
                     out = f(a, f(a, f(b, vec)))
                     for key, c in f(a, f(b, f(a, vec))).items():
-                        fock_mod._add_into(out, key, -2 * c)
+                        add_into(out, key, -2 * c)
                     for key, c in f(b, f(a, f(a, vec))).items():
-                        fock_mod._add_into(out, key, c)
+                        add_into(out, key, c)
                     if out:
                         res.failures.append(f"Serre fails for a={a}, b={b} on {nu}")
     return res

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from gltcomb import fock
 from gltcomb.diagrams import CIRC, CROSS, GT
+from gltcomb.matrices import add_into
 from gltcomb.partitions import Bipartition, Partition
 
 
@@ -157,7 +158,7 @@ def apply_h(a, mode, vec):
     out = {}
     for key, coeff in vec.items():
         fock._check_key(mode, key)
-        fock._add_into(out, key, coeff * fock.h_eigenvalue(a, mode, key))
+        add_into(out, key, coeff * fock.h_eigenvalue(a, mode, key))
     return out
 
 
@@ -168,8 +169,8 @@ def commutator_defect(a, b, mode, vec):
     fe = fock.apply_generator("f", b, mode, fock.apply_generator("e", a, mode, vec))
     out = dict(ef)
     for key, coeff in fe.items():
-        fock._add_into(out, key, -coeff)
+        add_into(out, key, -coeff)
     if a == b:
         for key, coeff in apply_h(a, mode, vec).items():
-            fock._add_into(out, key, -coeff)
+            add_into(out, key, -coeff)
     return out

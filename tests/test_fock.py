@@ -14,6 +14,7 @@ from gltcomb.fock import (
     pi_n,
     wedge_basis,
 )
+from gltcomb.matrices import add_into
 from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to, n_weight, partitions_up_to
 from reference import commutator_defect
 
@@ -131,7 +132,7 @@ def test_wedge_basis_counts():
 
 def _apply_basis_reference(gen, a, mode, key, out, coeff):
     """The per-call box moves apply_generator used before the box tables."""
-    add = fock._add_into
+    add = add_into
     if mode.kind == "plain":
         nu = key.add_box(a) if gen == "f" else key.remove_box(a)
         if nu is not None:

@@ -1,9 +1,12 @@
+from copy import deepcopy
+
 import pytest
 
 from gltcomb.caps import D_inverse, D_matrix, inverse_row, lift_row
-from gltcomb.grothendieck import b_matrix
-from gltcomb.matrices import BipartitionMatrix, sort_key
-from gltcomb.partitions import Bipartition, bipartitions_up_to
+from gltcomb.grothendieck import a_matrix, b_matrix
+from gltcomb.lr import B_matrix, lr_product
+from gltcomb.matrices import BipartitionMatrix, add_into, product, sort_key
+from gltcomb.partitions import Bipartition, bipartitions_up_to, partitions_up_to
 
 VAC = Bipartition.of((), ())
 BOX = Bipartition.of((1,), ())
@@ -85,3 +88,74 @@ def test_d_and_its_inverse_share_their_row_rules(t):
     for lam in bipartitions_up_to(5):
         assert d.rows[lam] is lift_row(lam, t)
         assert d_inv.rows[lam] is inverse_row(lam, t)
+
+
+def test_add_into_deletes_a_key_whose_sum_cancels():
+    vec = {BOX: 2}
+    add_into(vec, ONE, 3)
+    add_into(vec, ONE, -3)
+    assert vec == {BOX: 2}
+    add_into(vec, VAC, 0)  # adding 0 to an absent key stores nothing
+    assert vec == {BOX: 2}
+    add_into(vec, BOX, -2)
+    assert vec == {}
+
+
+def test_product_leaves_out_a_row_that_cancels():
+    right = {BOX: {VAC: 1, ONE: 2}, WBOX: {VAC: -1, ONE: -2}}
+    rows = {ONE: {BOX: 1, WBOX: 1}, BOX: {BOX: 3}}
+    assert product(rows, right.get, {}) == {BOX: {VAC: 3, ONE: 6}}
+
+
+def test_product_keeps_row_order_and_first_insertion_order():
+    """Rows come back in the order of the input, and each row's entries in
+    the order they were first stored: an entry that cancels and comes back
+    goes to the end."""
+    right = {VAC: {VAC: 1, BOX: 1}, BOX: {VAC: -1, WBOX: 2}, WBOX: {VAC: 5}}
+    rows = {ONE: {VAC: 1, BOX: 1, WBOX: 1}, WBOX: {WBOX: 1}, VAC: {BOX: 1, VAC: 1}}
+    got = product(rows, right.get, {})
+    assert list(got) == [ONE, WBOX, VAC]
+    assert list(got[ONE].items()) == [(BOX, 1), (WBOX, 2), (VAC, 5)]
+    assert list(got[VAC].items()) == [(WBOX, 2), (BOX, 1)]
+
+
+@pytest.mark.parametrize("t", [-2, 0, 3, "generic"])
+def test_product_with_a_row_rule_and_its_args(t):
+    """product(rows, inverse_row, t) reads D^-1's rows through their rule:
+    D's rows times them are the identity, and B's rows times them are b."""
+    n = 5
+    assert product(D_matrix(t, n).rows, inverse_row, t) == BipartitionMatrix.identity(n).rows
+    B = B_matrix(n).rows
+    assert product(B, inverse_row, t) == b_matrix(t, n).rows
+
+
+def test_product_leaves_its_inputs_unchanged():
+    rows = {ONE: {BOX: 1, WBOX: 1}, BOX: {BOX: 3, WBOX: -1}}
+    right = {BOX: {VAC: 1, ONE: 2}, WBOX: {VAC: -1, ONE: 1}}
+    before = deepcopy((rows, right))
+    product(rows, right.get, {})
+    assert (rows, right) == before
+
+
+def test_derived_tables_leave_the_cached_rows_unmutated():
+    """lift_row, inverse_row and lr_product hand out their cached rows, which
+    callers must not mutate: building D^-1, b, every A_a and two products at
+    n = 5 leaves every such row that n + 1 reaches as it was, and still the
+    cached one."""
+    n, ts = 5, range(-3, 4)
+    index = bipartitions_up_to(n + 1)
+    parts = partitions_up_to(n + 1)
+    cached = [(rule, args) for t in ts for lam in index
+              for rule, args in ((lift_row, (lam, t)), (inverse_row, (lam, t)))]
+    cached += [(lr_product, (mu, kappa)) for mu in parts for kappa in parts
+               if mu.size + kappa.size <= n + 1]
+    before = [(rule(*args), deepcopy(rule(*args))) for rule, args in cached]
+    for t in ts:
+        d_inv = D_inverse(t, n)
+        b_matrix(t, n)
+        for a in range(-3, 4):
+            a_matrix(a, t, n)
+        D_matrix(t, n).mul(d_inv)
+        B_matrix(n).mul(d_inv)
+    for (rule, args), (row, copy) in zip(cached, before):
+        assert rule(*args) is row and row == copy, (rule.__name__, args)

@@ -10,7 +10,7 @@ import pytest
 
 import gltcomb
 from gltcomb import caps, fock, grothendieck, lr, verify
-from gltcomb.matrices import BipartitionMatrix
+from gltcomb.matrices import BipartitionMatrix, add_into
 from gltcomb.partitions import Bipartition, Partition, bipartitions_up_to
 from reference import commutator_defect
 
@@ -242,7 +242,7 @@ def test_commutators_report_stray_term_like_commutator_defect(monkeypatch, gen, 
         out = real(g, mode, k)
         if g == gen and k == key:
             out[a] = dict(out.get(a, {}))
-            fock._add_into(out[a], stray, 1)
+            add_into(out[a], stray, 1)
         return out
 
     monkeypatch.setattr(fock, "images", images)
