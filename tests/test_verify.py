@@ -266,6 +266,66 @@ def test_commutators_report_wrong_weight_where_no_generator_moves(monkeypatch):
     assert got.failures and got == want
 
 
+def _matrix_commutators_reference(cfg, gen_range=None, max_size=None, t_values=None):
+    """The whole-matrix products check_matrix_commutators replaced: F_b E_a
+    and E_a F_b by BipartitionMatrix.mul, read on the rows of size below the
+    bound."""
+    res = verify.CheckResult("grothendieck.matrix-commutators", 0)
+    rng = gen_range if gen_range is not None else min(cfg.max_size, 3)
+    bound = max_size if max_size is not None else cfg.max_size
+    index = bipartitions_up_to(bound)
+    pos = {bp: i for i, bp in enumerate(index)}
+    interior = [bp for bp in index if bp.size <= bound - 1]
+    gens = range(-rng, rng + 1)
+    for t in t_values if t_values is not None else cfg.t_values:
+        f_mats = {b: grothendieck.a_tilde(b, t, bound) for b in gens}
+        e_mats = {a: grothendieck.e_tilde(a, t, bound) for a in gens}
+        for a in gens:
+            for b in gens:
+                # row-vector convention: F then E is f_mat.mul(e_mat)
+                fe, ef = f_mats[b].mul(e_mats[a]).rows, e_mats[a].mul(f_mats[b]).rows
+                res.instances += len(interior)
+                for lam in interior:
+                    diff = dict(fe.get(lam, {}))
+                    for mu, v in ef.get(lam, {}).items():
+                        diff[mu] = diff.get(mu, 0) - v
+                    if a == b:
+                        diff[lam] = diff.get(lam, 0) - fock.h_eigenvalue(a, fock.Mode.tensor(t), lam)
+                    bad = [pos[mu] for mu, v in diff.items() if v]
+                    if bad:
+                        res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {lam}->{index[min(bad)]}")
+    return res
+
+
+@pytest.mark.parametrize("cfg, kwargs, instances", [
+    (verify.VerifyConfig(), {}, 6174),
+    (ACCEPTANCE, {"gen_range": 4, "max_size": 5, "t_values": range(-3, 4)}, 21546),
+    (SMALL, {"gen_range": 1}, 216),
+])
+def test_matrix_commutators_match_whole_matrix_products(cfg, kwargs, instances):
+    got = verify.check_matrix_commutators(cfg, **kwargs)
+    assert got == _matrix_commutators_reference(cfg, **kwargs)
+    assert (got.instances, got.failures) == (instances, [])
+
+
+def test_matrix_commutators_report_f_side_defect_like_whole_matrix_products(monkeypatch):
+    # F_0 gains vacuum -> [[],[1]] at t = 0; the defects already pinned
+    # above all edit E
+    real = grothendieck.a_tilde
+
+    def a_tilde(a, t, n, family=None):
+        m = real(a, t, n, family)
+        if (a, t) == (0, 0):
+            m.set(VAC, Bipartition.of((), (1,)), 1)
+        return m
+
+    monkeypatch.setattr(grothendieck, "a_tilde", a_tilde)
+    got = verify.check_matrix_commutators(SMALL, gen_range=1)
+    assert got == _matrix_commutators_reference(SMALL, gen_range=1)
+    assert len(got.failures) == 3
+    assert got.failures[0] == "matrix commutator: a=-1, b=0, t=0, [[],[]]->[[],[2]]"
+
+
 def _stability_reference(cfg, max_size=None, t_range=10):
     """The index x index x t loop check_stability replaced."""
     res = verify.CheckResult("caps.stability", 0)
