@@ -144,19 +144,21 @@ def tensor_weight(lam: Bipartition, t: int) -> dict[int, int]:
     return weight
 
 
-def dominance_leq(lam: Bipartition, mu: Bipartition, t: int) -> bool:
-    """Whether lam <= mu: the signed corner-weight identity holds and the
-    black partial sums of lam dominate those of mu."""
-    if tensor_weight(lam, t) != tensor_weight(mu, t):
-        return False
-    rows = max(lam.black.length, mu.black.length)
+def black_sums_dominate(lam: Bipartition, mu: Bipartition) -> bool:
+    """Whether every partial sum of lam's black rows is at least mu's."""
     acc_l = acc_m = 0
-    for i in range(1, rows + 1):
+    for i in range(1, max(lam.black.length, mu.black.length) + 1):
         acc_l += lam.black.row(i)
         acc_m += mu.black.row(i)
         if acc_l < acc_m:
             return False
     return True
+
+
+def dominance_leq(lam: Bipartition, mu: Bipartition, t: int) -> bool:
+    """Whether lam <= mu: the signed corner-weight identity holds and the
+    black partial sums of lam dominate those of mu."""
+    return tensor_weight(lam, t) == tensor_weight(mu, t) and black_sums_dominate(lam, mu)
 
 
 def partition_to_sequence(nu: Partition, n: int) -> tuple[int, ...]:

@@ -65,9 +65,6 @@ class BipartitionMatrix:
             if not self.rows[row]:
                 del self.rows[row]
 
-    def index(self) -> tuple[Bipartition, ...]:
-        return bipartitions_up_to(self.n)
-
     def items(self):
         """Every (row, col, value), rows then columns in (size, black, white) order."""
         for r in sorted(self.rows, key=sort_key):
@@ -102,16 +99,9 @@ class BipartitionMatrix:
                     result.rows[r] = kept
         return result
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BipartitionMatrix)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
     def is_unitriangular(self) -> bool:
         """Unit diagonal and off-diagonal support only where row size > column size."""
-        for bp in self.index():
+        for bp in bipartitions_up_to(self.n):
             if self.get(bp, bp) != 1:
                 return False
         return all(r == c or r.size > c.size for r, row in self.rows.items() for c in row)

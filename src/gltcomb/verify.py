@@ -21,7 +21,6 @@ from .diagrams import CIRC, CROSS, FAMILY_D, FAMILY_DPRIME, GENERIC, build_diagr
 from .matrices import BipartitionMatrix, add_into
 from .partitions import (
     Bipartition,
-    Partition,
     bipartitions_up_to,
     n_weight,
     partitions_of,
@@ -136,16 +135,12 @@ def check_partition_of_z(cfg: VerifyConfig) -> CheckResult:
     return res
 
 
-def _random_partition(rng: random.Random, max_size: int) -> Partition:
-    pool = partitions_up_to(max_size)
-    return pool[rng.randrange(len(pool))]
-
-
 def cap_move_pair(rng: random.Random, t: int, max_size: int) -> tuple[Bipartition, Bipartition]:
     """A random bipartition and a partner drawn uniformly from its row of
     D(t), one per subset of its caps, so each subset of cap moves is equally
     likely (cross moves preserve the core)."""
-    lam = Bipartition(_random_partition(rng, max_size), _random_partition(rng, max_size))
+    pool = partitions_up_to(max_size)
+    lam = Bipartition(rng.choice(pool), rng.choice(pool))
     return lam, rng.choice(list(caps_mod.lift_row(lam, t)))
 
 
@@ -369,13 +364,8 @@ def check_order_compatibility(cfg: VerifyConfig) -> CheckResult:
                 res.instances += 1
                 if lam.size < mu.size:
                     res.failures.append(f"size order violated: {lam}, {mu}, t={t}")
-                acc_l = acc_m = 0
-                for i in range(1, max(lam.black.length, mu.black.length) + 1):
-                    acc_l += lam.black.row(i)
-                    acc_m += mu.black.row(i)
-                    if acc_l < acc_m:
-                        res.failures.append(f"partial sums violated: {lam}, {mu}, t={t}")
-                        break
+                if not fock_mod.black_sums_dominate(lam, mu):
+                    res.failures.append(f"partial sums violated: {lam}, {mu}, t={t}")
                 if not fock_mod.dominance_leq(lam, mu, t):
                     res.failures.append(f"dominance violated: {lam}, {mu}, t={t}")
     return res
@@ -450,13 +440,46 @@ def _mode_basis(mode: fock_mod.Mode, max_size: int):
     raise ValueError(mode.kind)
 
 
+def _commutator_defects(keys, gens, images_of, h):
+    """Every (v, a, b, defect) with a nonzero defect (e_a f_b - f_b e_a -
+    delta_ab h_a)(v), for v in keys and a, b in gens: the one assembly of the
+    sl_Z relation, by linearity from images_of(gen, key), the nonzero images
+    {a: gen_a(key)} under gen "e" or "f", and h(a, v), the h_a eigenvalue.
+    The defect on v is 0 unless e_a v != 0, f_b v != 0 or a = b, so only those
+    (a, b) are assembled, in the order of the full loop over keys, a and b."""
+    for key in keys:
+        # e_a f_b v sums the e-images of the terms of f_b v, and f_b e_a v
+        # the f-images of the terms of e_a v
+        e_after_f = {
+            b: [(c, images_of("e", mid)) for mid, c in f_v.items()]
+            for b, f_v in images_of("f", key).items()
+            if b in gens
+        }
+        f_after_e = {
+            a: [(c, images_of("f", mid)) for mid, c in e_v.items()]
+            for a, e_v in images_of("e", key).items()
+            if a in gens
+        }
+        for a in gens:
+            e_side = f_after_e.get(a, ())
+            for b in gens if e_side else sorted({a, *e_after_f}):
+                defect: fock_mod.Vector = {}
+                for c, e_images in e_after_f.get(b, ()):
+                    for out, c2 in e_images.get(a, {}).items():
+                        add_into(defect, out, c * c2)
+                for c, f_images in e_side:
+                    for out, c2 in f_images.get(b, {}).items():
+                        add_into(defect, out, -c * c2)
+                if a == b:
+                    add_into(defect, key, -h(a, key))
+                if defect:
+                    yield key, a, b, defect
+
+
 def check_commutators(cfg: VerifyConfig, gen_range: int | None = None, max_size: int | None = None) -> CheckResult:
-    """[e_a, f_b] = delta_ab h_a on every basis vector of every mode: the
-    defect (e_a f_b - f_b e_a - delta_ab h_a)(v), assembled by linearity from
-    the images of single basis vectors, each built once per mode.  The defect
-    on v is 0 unless e_a v != 0, f_b v != 0 or a = b, so only those (a, b)
-    are assembled, in the order of the full loop; every (a, b) counts as an
-    instance."""
+    """[e_a, f_b] = delta_ab h_a on every basis vector of every mode, from the
+    images of single basis vectors, each built once per mode; every (a, b)
+    counts as an instance."""
     res = CheckResult("fock.commutators", 0)
     rng = gen_range if gen_range is not None else min(cfg.max_size, 4)
     bound = max_size if max_size is not None else cfg.max_size
@@ -470,35 +493,10 @@ def check_commutators(cfg: VerifyConfig, gen_range: int | None = None, max_size:
                 got = memo[(gen, key)] = fock_mod.images(gen, mode, key)
             return got
 
-        for key in _mode_basis(mode, bound):
-            # e_a f_b v sums the e-images of the terms of f_b v, and f_b e_a v
-            # the f-images of the terms of e_a v
-            e_after_f = {
-                b: [(c, images_of("e", mid)) for mid, c in f_v.items()]
-                for b, f_v in images_of("f", key).items()
-                if b in gens
-            }
-            f_after_e = {
-                a: [(c, images_of("f", mid)) for mid, c in e_v.items()]
-                for a, e_v in images_of("e", key).items()
-                if a in gens
-            }
-            res.instances += len(gens) ** 2
-            for a in gens:
-                e_side = f_after_e.get(a, ())
-                for b in gens if e_side else sorted({a, *e_after_f}):
-                    f_side = e_after_f.get(b, ())
-                    defect: fock_mod.Vector = {}
-                    for c, e_images in f_side:
-                        for out, c2 in e_images.get(a, {}).items():
-                            add_into(defect, out, c * c2)
-                    for c, f_images in e_side:
-                        for out, c2 in f_images.get(b, {}).items():
-                            add_into(defect, out, -c * c2)
-                    if a == b:
-                        add_into(defect, key, -fock_mod.h_eigenvalue(a, mode, key))
-                    if defect:
-                        res.failures.append(f"mode {mode.kind}, key {key}, a={a}, b={b}")
+        keys = _mode_basis(mode, bound)
+        res.instances += len(gens) ** 2 * len(keys)
+        for key, a, b, _ in _commutator_defects(keys, gens, images_of, lambda a, key: fock_mod.h_eigenvalue(a, mode, key)):
+            res.failures.append(f"mode {mode.kind}, key {key}, a={a}, b={b}")
     return res
 
 
@@ -699,6 +697,10 @@ def check_b_roundtrip(cfg: VerifyConfig) -> CheckResult:
 
 
 def check_matrix_commutators(cfg: VerifyConfig, gen_range: int | None = None, max_size: int | None = None, t_values=None) -> CheckResult:
+    """[e_a, f_b] = delta_ab h_a on the Grothendieck group: the rows of the
+    truncated a_tilde (f) and e_tilde (e) are the images of the rows of size
+    below the bound, fed to the assembly of check_commutators.  A failure
+    names the first offending column in index order."""
     res = CheckResult("grothendieck.matrix-commutators", 0)
     rng = gen_range if gen_range is not None else min(cfg.max_size, 3)
     bound = max_size if max_size is not None else cfg.max_size
@@ -707,24 +709,21 @@ def check_matrix_commutators(cfg: VerifyConfig, gen_range: int | None = None, ma
     interior = [bp for bp in index if bp.size <= bound - 1]
     gens = range(-rng, rng + 1)
     for t in t_values if t_values is not None else cfg.t_values:
-        f_mats = {b: groth_mod.a_tilde(b, t, bound) for b in gens}
-        e_mats = {a: groth_mod.e_tilde(a, t, bound) for a in gens}
-        for a in gens:
-            e_mat = e_mats[a]
-            for b in gens:
-                f_mat = f_mats[b]
-                # row-vector convention: F then E is f_mat.mul(e_mat)
-                fe, ef = f_mat.mul(e_mat).rows, e_mat.mul(f_mat).rows
-                res.instances += len(interior)
-                for lam in interior:
-                    diff = dict(fe.get(lam, {}))
-                    for mu, v in ef.get(lam, {}).items():
-                        diff[mu] = diff.get(mu, 0) - v
-                    if a == b:
-                        diff[lam] = diff.get(lam, 0) - fock_mod.h_eigenvalue(a, fock_mod.Mode.tensor(t), lam)
-                    bad = [pos[mu] for mu, v in diff.items() if v]
-                    if bad:  # report the first offending mu, in index order
-                        res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {lam}->{index[min(bad)]}")
+        mode = fock_mod.Mode.tensor(t)
+        table: dict = {}  # (gen, lam) -> {a: row lam of gen_a}
+        for gen, tilde in (("f", groth_mod.a_tilde), ("e", groth_mod.e_tilde)):
+            for a in gens:
+                for lam, row in tilde(a, t, bound).rows.items():
+                    table.setdefault((gen, lam), {})[a] = row
+        res.instances += len(gens) ** 2 * len(interior)
+        found = sorted(
+            (a, b, pos[lam], min(map(pos.__getitem__, defect)))
+            for lam, a, b, defect in _commutator_defects(
+                interior, gens, lambda gen, lam: table.get((gen, lam), {}),
+                lambda a, lam: fock_mod.h_eigenvalue(a, mode, lam))
+        )
+        for a, b, lam, mu in found:
+            res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {index[lam]}->{index[mu]}")
     return res
 
 

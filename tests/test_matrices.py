@@ -56,6 +56,7 @@ def test_fill_order_does_not_change_equality():
     backward.set(ONE, BOX, 7)
     backward.set(ONE, BOX, 0)
     assert forward == backward == D_inverse(0, 3)
+    assert forward != forward.rows  # the dataclass compares (n, rows) with matrices only
     backward.set(ONE, VAC, 5)
     assert forward != backward
 
