@@ -495,7 +495,8 @@ def check_commutators(cfg: VerifyConfig, gen_range: int | None = None, max_size:
 
         keys = _mode_basis(mode, bound)
         res.instances += len(gens) ** 2 * len(keys)
-        for key, a, b, _ in _commutator_defects(keys, gens, images_of, lambda a, key: fock_mod.h_eigenvalue(a, mode, key)):
+        for key, a, b, _ in _commutator_defects(
+                keys, gens, images_of, lambda a, key: fock_mod.h_eigenvalue(a, mode, key)):
             res.failures.append(f"mode {mode.kind}, key {key}, a={a}, b={b}")
     return res
 
@@ -722,8 +723,8 @@ def check_matrix_commutators(cfg: VerifyConfig, gen_range: int | None = None, ma
                 interior, gens, lambda gen, lam: table.get((gen, lam), {}),
                 lambda a, lam: fock_mod.h_eigenvalue(a, mode, lam))
         )
-        for a, b, lam, mu in found:
-            res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {index[lam]}->{index[mu]}")
+        for a, b, row, col in found:
+            res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {index[row]}->{index[col]}")
     return res
 
 
