@@ -33,6 +33,23 @@ def test_default_config_counts(check, instances, notes):
     assert (res.instances, res.failures, res.notes) == (instances, [], notes)
 
 
+@pytest.mark.parametrize("check, cfg, kwargs, instances, notes", [
+    (verify.check_above_diagonal, verify.VerifyConfig(t_values=tuple(range(-3, 4)), max_size=4),
+     {"gen_range": 4, "t_values": range(-4, 5), "max_size": 5}, 147825,
+     ["below-diagonal extra support entries observed: 6"]),
+    (verify.check_stability, verify.VerifyConfig(), {"max_size": 6, "t_range": 14}, 156236, []),
+    (verify.check_matrix_commutators, verify.VerifyConfig(max_size=0), {}, 0, []),
+    (verify.check_stability, verify.VerifyConfig(max_size=0), {"t_range": 3}, 6, []),
+    (verify.check_above_diagonal, verify.VerifyConfig(max_size=0), {}, 0,
+     ["below-diagonal extra support entries observed: 0"]),
+])
+def test_counts_at_second_configurations(check, cfg, kwargs, instances, notes):
+    # the counts read off the graded index, away from the default bound:
+    # the acceptance arguments, a larger bound and the vacuum-only index
+    res = check(cfg, **kwargs)
+    assert (res.instances, res.failures, res.notes) == (instances, [], notes)
+
+
 def test_above_diagonal_reports_extra_entries_in_index_order(monkeypatch):
     real = grothendieck.a_matrix
 
