@@ -455,3 +455,104 @@ def test_run_all_reports_a_cap_dropped_by_the_scan():
     failing, uniqueness = proc.stdout.splitlines()
     assert {"caps.dimension-oracle", "caps.matching-uniqueness"} <= set(failing.split())
     assert uniqueness == "uniqueness fail"
+
+
+# Bipartition's dataclass order compares black before size, so [[],[2]] sorts
+# before [[1],[]] there and after it in the index; each failure list below
+# mixes such pairs, so a check that sorts by the dataclass order fails here.
+BOX, WHITE_TWO, WHITE_ONE_ONE = Bipartition.of((1,), ()), Bipartition.of((), (2,)), Bipartition.of((), (1, 1))
+
+
+def test_stability_reports_failures_in_index_order(monkeypatch):
+    real = caps.lift_row
+    monkeypatch.setattr(
+        caps, "lift_row",
+        lambda lam, t: {**real(lam, t), WHITE_TWO: 1, BOX: 1} if (lam, t) == (VAC, 9) else real(lam, t),
+    )
+    got = verify.check_stability(verify.VerifyConfig())
+    assert got == _stability_reference(verify.VerifyConfig())
+    assert got.failures == [
+        "stability fails: [[],[]], [[1],[]], t=9",
+        "stability fails: [[],[]], [[],[2]], t=9",
+    ]
+
+
+def test_order_compatibility_reports_row_in_index_order(monkeypatch):
+    real = caps.lift_row
+    monkeypatch.setattr(
+        caps, "lift_row",
+        lambda lam, t: {**real(lam, t), WHITE_TWO: 1, BOX: 1} if (lam, t) == (VAC, 0) else real(lam, t),
+    )
+    res = verify.check_order_compatibility(SMALL)
+    assert res.instances == 61
+    assert res.failures == [
+        "size order violated: [[],[]], [[1],[]], t=0",
+        "partial sums violated: [[],[]], [[1],[]], t=0",
+        "dominance violated: [[],[]], [[1],[]], t=0",
+        "size order violated: [[],[]], [[],[2]], t=0",
+        "dominance violated: [[],[]], [[],[2]], t=0",
+    ]
+
+
+def test_above_diagonal_reports_rows_and_columns_in_index_order(monkeypatch):
+    real = grothendieck.a_matrix
+    extra = [(WHITE_ONE_ONE, Bipartition.of((1,), (1, 1))), (BOX, WHITE_ONE_ONE),
+             (BOX, Bipartition.of((2,), ())), (VAC, WHITE_TWO), (VAC, BOX)]
+
+    def a_matrix(a, t, n, family=None):
+        m = real(a, t, n, family)
+        if (a, t) == (0, 0):
+            for lam, mu in extra:
+                m.set(lam, mu, m.get(lam, mu) + 1)
+        return m
+
+    monkeypatch.setattr(grothendieck, "a_matrix", a_matrix)
+    res = verify.check_above_diagonal(SMALL, gen_range=1)
+    assert res.failures == [
+        "above-diagonal differs: [[],[]], [[1],[]], a=0, t=0",
+        "above-diagonal differs: [[],[]], [[],[2]], a=0, t=0",
+        "above-diagonal differs: [[1],[]], [[],[1,1]], a=0, t=0",
+        "above-diagonal differs: [[1],[]], [[2],[]], a=0, t=0",
+        "above-diagonal differs: [[],[1,1]], [[1],[1,1]], a=0, t=0",
+    ]
+
+
+def test_matrix_commutators_name_first_column_in_index_order(monkeypatch):
+    # E_0 gains [[1],[]] -> [[1],[]] and [[1],[]] -> [[],[1,1]] at t = 0, so
+    # some defects hold both columns
+    real = grothendieck.e_tilde
+
+    def e_tilde(a, t, n, family=None):
+        m = real(a, t, n, family)
+        if (a, t) == (0, 0):
+            for mu in (BOX, WHITE_ONE_ONE):
+                m.set(BOX, mu, m.get(BOX, mu) + 1)
+        return m
+
+    monkeypatch.setattr(grothendieck, "e_tilde", e_tilde)
+    got = verify.check_matrix_commutators(SMALL, gen_range=1)
+    assert got == _matrix_commutators_reference(SMALL, gen_range=1)
+    assert got.failures == [
+        "matrix commutator: a=0, b=-1, t=0, [[1],[]]->[[1,1],[]]",
+        "matrix commutator: a=0, b=0, t=0, [[],[]]->[[1],[]]",
+        "matrix commutator: a=0, b=0, t=0, [[1],[]]->[[1],[1,1]]",
+        "matrix commutator: a=0, b=0, t=0, [[1],[1]]->[[1],[]]",
+        "matrix commutator: a=0, b=1, t=0, [[1],[]]->[[],[1]]",
+    ]
+
+
+def test_matrix_commutators_report_rows_in_index_order(monkeypatch):
+    # h_0 off by one on [[1],[]] and [[],[2]]: only the a = b = 0 diagonal
+    # entries of those rows carry a defect
+    real = fock.h_eigenvalue
+
+    def h_eigenvalue(a, mode, key):
+        return real(a, mode, key) + (1 if a == 0 and key in (BOX, WHITE_TWO) else 0)
+
+    monkeypatch.setattr(fock, "h_eigenvalue", h_eigenvalue)
+    got = verify.check_matrix_commutators(SMALL, gen_range=1, t_values=(0,))
+    assert got == _matrix_commutators_reference(SMALL, gen_range=1, t_values=(0,))
+    assert got.failures == [
+        "matrix commutator: a=0, b=0, t=0, [[1],[]]->[[1],[]]",
+        "matrix commutator: a=0, b=0, t=0, [[],[2]]->[[],[2]]",
+    ]
