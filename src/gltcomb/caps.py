@@ -96,7 +96,6 @@ def inverse_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
     return row
 
 
-@lru_cache(maxsize=None)
 def D_inverse(t: ParamT, n: int) -> BipartitionMatrix:
     """Exact integer inverse of the truncated multiplicity matrix."""
     return BipartitionMatrix(n, {lam: inverse_row(lam, t) for lam in bipartitions_up_to(n)})

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .partitions import Bipartition, bipartitions_up_to
-
-
-def sort_key(bp: Bipartition):
-    return (bp.size, bp.black.rows, bp.white.rows)
+from .partitions import Bipartition, bipartitions_up_to, sort_key
 
 
 def add_into(vec: dict, key, coeff: int) -> None:
@@ -66,7 +62,7 @@ class BipartitionMatrix:
                 del self.rows[row]
 
     def items(self):
-        """Every (row, col, value), rows then columns in (size, black, white) order."""
+        """Every (row, col, value), rows then columns in sort_key order."""
         for r in sorted(self.rows, key=sort_key):
             row = self.rows[r]
             for c in sorted(row, key=sort_key):

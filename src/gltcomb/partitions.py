@@ -196,25 +196,29 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(rows) for rows in gen(n, n if n else 1))
 
 
+def sort_key(bp: Bipartition) -> tuple:
+    """The index order: by size, then black's rows, then white's, each
+    lexicographically.  The one definition of the order every table, every
+    printout and every truncation follows."""
+    return (bp.size, bp.black.rows, bp.white.rows)
+
+
 @lru_cache(maxsize=None)
 def partitions_up_to(n: int) -> tuple[Partition, ...]:
-    """All partitions of size at most n, by (size, lex)."""
-    out: list[Partition] = []
-    for k in range(n + 1):
-        out.extend(sorted(partitions_of(k), key=lambda p: p.rows))
-    return tuple(out)
+    """All partitions of size at most n, by (size, lex): partitions_up_to(n - 1),
+    the very same instances, then the partitions of n."""
+    if n < 0:
+        return ()
+    return partitions_up_to(n - 1) + tuple(sorted(partitions_of(n), key=lambda p: p.rows))
 
 
 @lru_cache(maxsize=None)
 def bipartitions_up_to(n: int) -> tuple[Bipartition, ...]:
-    """All bipartitions of total size at most n, by (size, lex on black then white)."""
-    out: list[Bipartition] = []
-    for k in range(n + 1):
-        layer = [
-            Bipartition(b, w)
-            for i in range(k + 1)
-            for b in partitions_of(i)
-            for w in partitions_of(k - i)
-        ]
-        out.extend(sorted(layer, key=lambda bp: (bp.black.rows, bp.white.rows)))
-    return tuple(out)
+    """All bipartitions of total size at most n, in sort_key order:
+    bipartitions_up_to(n - 1), the very same instances, then the size-n layer.
+    So every truncation of the index is a prefix of the next, and a table
+    built at n shares its keys with every table built at a larger bound."""
+    if n < 0:
+        return ()
+    layer = [Bipartition(b, w) for i in range(n + 1) for b in partitions_of(i) for w in partitions_of(n - i)]
+    return bipartitions_up_to(n - 1) + tuple(sorted(layer, key=sort_key))

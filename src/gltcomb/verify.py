@@ -8,7 +8,6 @@ is fixed so identical arguments produce identical output.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import prod
 
@@ -25,6 +24,7 @@ from .partitions import (
     n_weight,
     partitions_of,
     partitions_up_to,
+    sort_key,
 )
 
 
@@ -216,22 +216,20 @@ def check_stability(cfg: VerifyConfig, max_size: int | None = None, t_range: int
     once; failures are reported by lam, then mu in index order, then t."""
     res = CheckResult("caps.stability", 0)
     bound = max_size if max_size is not None else cfg.max_size
-    index = bipartitions_up_to(bound)
-    pos = {bp: i for i, bp in enumerate(index)}
-    sizes = [bp.size for bp in index]  # ascending: the index is graded by size
-    for lam in index:
-        bad: list[tuple[int, int]] = []  # (index position of mu, t)
+    for lam in bipartitions_up_to(bound):
+        bad: list[tuple[Bipartition, int]] = []
         for t in range(-t_range, t_range + 1):
-            room = abs(t) - lam.size  # the mu tested at t are those with |mu| < room
+            # the mu tested at t are the prefix of the index of size below room
+            room = min(abs(t) - lam.size, bound + 1)
             if room <= 0:
                 continue
-            res.instances += bisect_left(sizes, room)
+            res.instances += len(bipartitions_up_to(room - 1))
             row = caps_mod.lift_row(lam, t)
             if lam.size < room and lam not in row:
-                bad.append((pos[lam], t))
-            bad.extend((pos[mu], t) for mu in row if mu != lam and mu in pos and mu.size < room)
-        bad.sort()
-        res.failures.extend(f"stability fails: {lam}, {index[i]}, t={t}" for i, t in bad)
+                bad.append((lam, t))
+            bad.extend((mu, t) for mu in row if mu != lam and mu.size < room)
+        bad.sort(key=lambda mu_t: (sort_key(mu_t[0]), mu_t[1]))
+        res.failures.extend(f"stability fails: {lam}, {mu}, t={t}" for mu, t in bad)
     return res
 
 
@@ -355,12 +353,12 @@ def check_matching_uniqueness(cfg: VerifyConfig, diagrams: int = 60) -> CheckRes
 
 def check_order_compatibility(cfg: VerifyConfig) -> CheckResult:
     res = CheckResult("caps.order-compatibility", 0)
-    index = bipartitions_up_to(cfg.max_size)
-    pos = {bp: i for i, bp in enumerate(index)}
     for t in cfg.t_values:
-        # every mu of lam's row, in index order; a wrong-way lift is caught
-        for lam in index:
-            for mu in sorted(pos.keys() & caps_mod.lift_row(lam, t).keys(), key=pos.__getitem__):
+        # every mu of lam's row in the index, in index order; a wrong-way
+        # lift is caught
+        for lam in bipartitions_up_to(cfg.max_size):
+            row = caps_mod.lift_row(lam, t)
+            for mu in sorted((mu for mu in row if mu.size <= cfg.max_size), key=sort_key):
                 res.instances += 1
                 if lam.size < mu.size:
                     res.failures.append(f"size order violated: {lam}, {mu}, t={t}")
@@ -553,7 +551,7 @@ def check_wedge_limit(cfg: VerifyConfig, max_k: int | None = None) -> CheckResul
     res = CheckResult("fock.wedge-limit", 0)
     top = max_k if max_k is not None else min(cfg.max_size, 5)
     for k in range(1, top + 1):
-        fock_basis = [nu for nu in partitions_up_to(k)]
+        fock_basis = partitions_up_to(k)
         for n in range(k, k + 3):
             res.instances += 1
             images = {fock_mod.partition_to_sequence(nu, n) for nu in fock_basis}
@@ -656,10 +654,9 @@ def check_above_diagonal(cfg: VerifyConfig, gen_range: int | None = None, t_valu
     res = CheckResult("grothendieck.above-diagonal", 0)
     rng = gen_range if gen_range is not None else min(cfg.max_size, 4)
     bound = max_size if max_size is not None else cfg.max_size
-    index = bipartitions_up_to(bound)
-    pos = {bp: i for i, bp in enumerate(index)}
-    sizes = [bp.size for bp in index]
-    above_pairs = sum(1 for l in sizes for m in sizes if l < m)
+    # the pairs (lam, mu) with |lam| < |mu|: for each mu, the prefix of the
+    # index below its size
+    above_pairs = sum(len(bipartitions_up_to(mu.size - 1)) for mu in bipartitions_up_to(bound))
     below_support = 0
     for t in t_values if t_values is not None else cfg.t_values:
         for a in range(-rng, rng + 1):
@@ -672,7 +669,7 @@ def check_above_diagonal(cfg: VerifyConfig, gen_range: int | None = None, t_valu
                 for mu in big.rows.get(lam, {}).keys() | tilde.rows.get(lam, {}).keys()
                 if lam.size < mu.size and big.get(lam, mu) != tilde.get(lam, mu)
             ]
-            differ.sort(key=lambda key: (pos[key[0]], pos[key[1]]))
+            differ.sort(key=lambda key: (sort_key(key[0]), sort_key(key[1])))
             for lam, mu in differ:
                 res.failures.append(f"above-diagonal differs: {lam}, {mu}, a={a}, t={t}")
             below_support += sum(
@@ -705,9 +702,7 @@ def check_matrix_commutators(cfg: VerifyConfig, gen_range: int | None = None, ma
     res = CheckResult("grothendieck.matrix-commutators", 0)
     rng = gen_range if gen_range is not None else min(cfg.max_size, 3)
     bound = max_size if max_size is not None else cfg.max_size
-    index = bipartitions_up_to(bound)
-    pos = {bp: i for i, bp in enumerate(index)}
-    interior = [bp for bp in index if bp.size <= bound - 1]
+    interior = bipartitions_up_to(bound - 1)
     gens = range(-rng, rng + 1)
     for t in t_values if t_values is not None else cfg.t_values:
         mode = fock_mod.Mode.tensor(t)
@@ -718,13 +713,14 @@ def check_matrix_commutators(cfg: VerifyConfig, gen_range: int | None = None, ma
                     table.setdefault((gen, lam), {})[a] = row
         res.instances += len(gens) ** 2 * len(interior)
         found = sorted(
-            (a, b, pos[lam], min(map(pos.__getitem__, defect)))
-            for lam, a, b, defect in _commutator_defects(
-                interior, gens, lambda gen, lam: table.get((gen, lam), {}),
-                lambda a, lam: fock_mod.h_eigenvalue(a, mode, lam))
+            ((a, b, lam, min(defect, key=sort_key))
+             for lam, a, b, defect in _commutator_defects(
+                 interior, gens, lambda gen, lam: table.get((gen, lam), {}),
+                 lambda a, lam: fock_mod.h_eigenvalue(a, mode, lam))),
+            key=lambda f: (f[0], f[1], sort_key(f[2])),
         )
-        for a, b, row, col in found:
-            res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {index[row]}->{index[col]}")
+        for a, b, lam, mu in found:
+            res.failures.append(f"matrix commutator: a={a}, b={b}, t={t}, {lam}->{mu}")
     return res
 
 

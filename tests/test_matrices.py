@@ -5,8 +5,8 @@ import pytest
 from gltcomb.caps import D_inverse, D_matrix, inverse_row, lift_row
 from gltcomb.grothendieck import a_matrix, b_matrix
 from gltcomb.lr import B_matrix, lr_product
-from gltcomb.matrices import BipartitionMatrix, add_into, product, sort_key
-from gltcomb.partitions import Bipartition, bipartitions_up_to, partitions_up_to
+from gltcomb.matrices import BipartitionMatrix, add_into, product
+from gltcomb.partitions import Bipartition, bipartitions_up_to, partitions_up_to, sort_key
 
 VAC = Bipartition.of((), ())
 BOX = Bipartition.of((1,), ())

@@ -12,6 +12,7 @@ from gltcomb.partitions import (
     n_weight,
     partitions_of,
     partitions_up_to,
+    sort_key,
 )
 
 
@@ -132,6 +133,24 @@ def test_bipartitions_up_to_sorted_and_complete():
     sizes = [bp.size for bp in index]
     assert sizes == sorted(sizes)
     assert len(set(index)) == len(index)
+
+
+def test_index_is_graded_and_each_truncation_a_prefix_of_the_next():
+    # the index order spelled out here from partitions_of, apart from sort_key:
+    # by size, then black's rows, then white's
+    for n in range(9):
+        want = sorted(
+            (Bipartition(b, w) for k in range(n + 1) for i in range(k + 1)
+             for b in partitions_of(i) for w in partitions_of(k - i)),
+            key=lambda bp: (bp.size, bp.black.rows, bp.white.rows),
+        )
+        index = bipartitions_up_to(n)
+        assert list(index) == want
+        assert [sort_key(bp) for bp in index] == sorted(map(sort_key, index))
+        shorter = bipartitions_up_to(n - 1)
+        assert all(x is y for x, y in zip(index[: len(shorter)], shorter, strict=True))
+        assert all(x is y for x, y in zip(partitions_up_to(n), partitions_up_to(n - 1)))
+    assert bipartitions_up_to(-1) == partitions_up_to(-1) == ()
 
 
 def test_json_roundtrip():
