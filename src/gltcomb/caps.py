@@ -5,15 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .diagrams import (
-    CIRC,
-    CROSS,
-    FAMILY_DPRIME,
-    GT,
-    ParamT,
-    _symbol_run,
-    stable_window,
-)
+from .diagrams import CIRC, CROSS, FAMILY_DPRIME, ParamT, _symbol_run, is_generic
 from .matrices import BipartitionMatrix, add_into
 from .partitions import Bipartition, bipartitions_up_to
 
@@ -43,19 +35,30 @@ def cap_scan(symbols: str, left: int) -> tuple[list[tuple[int, int]], list[int]]
 def lift_row(lam: Bipartition, t: ParamT) -> dict[Bipartition, int]:
     """lam's row of D(t), {mu: 1} for the mu with D_t(lam, mu) = 1: lam, then
     for each subset of lam's caps in combinations order, lam with those
-    crosses moved to their circle ends.  Moving cap (l, r) swaps r for l in
-    the window's 'x' and '>' (black's beta-numbers black_i + t - i) and l for
-    r in its 'o' and '>' (white's i - white_i - 1).  Shared by every caller
-    and by D(t, n); do not mutate it.  At generic t the window holds no cross,
-    so no cap forms and the row is {lam: 1}."""
-    left, right = stable_window(lam, t, FAMILY_DPRIME)
-    symbols = _symbol_run(lam, t, FAMILY_DPRIME, left, right)
-    caps, _ = cap_scan(symbols, left)
+    crosses moved to their circle ends.  Shared by every caller and by
+    D(t, n); do not mutate it.
+
+    A circle lies outside C and D', so at or right of both t - l(black) and
+    -white_1; a cross lies in both, so at or left of both l(white) - 1 and
+    t + black_1 - 1.  Every cap lies in the span [lo, hi] between them, at
+    most l(white) + white_1 positions long, and only that span is scanned.
+    Moving cap (l, r) swaps r for l in black's beta-numbers black_i + t - i
+    and l for r in white's i - 1 - white_i: circles lie right of C's tail and
+    crosses left of the tail of Z minus D', so the explicit values suffice.
+    So a row's cost does not grow with |t|, while the diagram and caps
+    commands print the whole stable window by contract, linear in |t|.
+    At generic t C lies off the lattice: no cross, no cap, the row is {lam: 1}."""
     row = {lam: 1}
+    if is_generic(t):
+        return row
+    black, white = lam.black.rows, lam.white.rows
+    lo = max(t - len(black), -lam.white.row(1))
+    hi = min(len(white) - 1, t + lam.black.row(1) - 1)
+    caps, _ = cap_scan(_symbol_run(lam, t, FAMILY_DPRIME, lo, hi), lo)
     if not caps:
         return row
-    c_set = {s for s, sym in enumerate(symbols, left) if sym in (CROSS, GT)}
-    not_d = {s for s, sym in enumerate(symbols, left) if sym in (CIRC, GT)}
+    c_set = {r + t - i for i, r in enumerate(black, 1)}
+    not_d = {i - 1 - r for i, r in enumerate(white, 1)}
     for k in range(1, len(caps) + 1):
         for moved in combinations(caps, k):
             circles, crosses = {l for l, _ in moved}, {r for _, r in moved}

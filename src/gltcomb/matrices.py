@@ -84,17 +84,6 @@ class BipartitionMatrix:
                 result.rows.setdefault(c, {})[r] = v
         return result
 
-    def restrict(self, n: int) -> "BipartitionMatrix":
-        if n > self.n:
-            raise ValueError("cannot grow a truncation")
-        result = BipartitionMatrix(n)
-        for r, row in self.rows.items():
-            if r.size <= n:
-                kept = {c: v for c, v in row.items() if c.size <= n}
-                if kept:
-                    result.rows[r] = kept
-        return result
-
     def is_unitriangular(self) -> bool:
         """Unit diagonal and off-diagonal support only where row size > column size."""
         for bp in bipartitions_up_to(self.n):

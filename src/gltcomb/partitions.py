@@ -198,8 +198,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 def sort_key(bp: Bipartition) -> tuple:
     """The index order: by size, then black's rows, then white's, each
-    lexicographically.  The one definition of the order every table, every
-    printout and every truncation follows."""
+    lexicographically.  The one order of every table, truncation and matrix
+    printout; decompose and fock print in their own pinned orders."""
     return (bp.size, bp.black.rows, bp.white.rows)
 
 

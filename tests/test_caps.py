@@ -185,10 +185,12 @@ def _reference_row(lam, t):
 
 
 def test_lift_row_matches_the_cap_diagram_construction():
-    # size 8 holds the first rows with two caps, whose order a subset order shows
-    for lam in bipartitions_up_to(8):
-        for t in [*range(-8, 9), GENERIC]:
-            row, want = lift_row(lam, t), _reference_row(lam, t)
-            assert row == want and list(row) == list(want), (lam, t)
-            if t != GENERIC:
-                assert _caps_of(lam, t)[1] == _reference_caps(lam, t), (lam, t)
+    # size 8 holds the first rows with two caps, whose order a subset order
+    # shows; at |t| = 20 and 50 the span lift_row scans is empty
+    cases = [(lam, t) for lam in bipartitions_up_to(8) for t in [*range(-8, 9), GENERIC]]
+    cases += [(lam, t) for lam in bipartitions_up_to(6) for t in (-50, -20, 20, 50)]
+    for lam, t in cases:
+        row, want = lift_row(lam, t), _reference_row(lam, t)
+        assert row == want and list(row) == list(want), (lam, t)
+        if t != GENERIC:
+            assert _caps_of(lam, t)[1] == _reference_caps(lam, t), (lam, t)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -158,6 +159,22 @@ def test_homdim(capsys):
     code, out, _ = run(capsys, "homdim", "--t", "0", "[[1],[1]]", "[[1],[1]]")
     assert code == 0
     assert out.strip() == "2"
+
+
+@pytest.mark.parametrize("t", ["1000000000", "-1000000000"])
+def test_point_queries_at_large_t(capsys, t):
+    # every cap of a row lies within l(lam) of its beta-numbers, so a query
+    # costs no more at |t| = 10^9; there D is the identity on lam's row
+    for argv, want in [
+        (("mult", "--t", t, "[[2],[1]]", "[[1],[]]"), "0"),
+        (("mult", "--t", t, "[[2],[1]]", "[[2],[1]]"), "1"),
+        (("homdim", "--t", t, "[[2],[1]]", "[[2],[1]]"), "1"),
+        (("decompose", "--t", t, "[[2],[1]]"), "[[1],[]]: 1\n[[2],[1]]: 1"),
+    ]:
+        start = perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert perf_counter() - start < 0.1, argv
+        assert (code, out.strip(), err) == (0, want, ""), argv
 
 
 def test_eigen(capsys):

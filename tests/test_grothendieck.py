@@ -97,6 +97,11 @@ def test_a_tilde_matches_per_lam_loop():
                 assert a_tilde(a, t, n, family) == _a_tilde_reference(a, t, n, family)
 
 
+def _entries_up_to(m, n):
+    """The (row, column, value) of m whose row and column have size at most n."""
+    return [(r, c, v) for r, c, v in m.items() if r.size <= n and c.size <= n]
+
+
 def test_a_matrix_conjugation():
     for n in range(7):
         for t in range(-4, 5):
@@ -104,8 +109,8 @@ def test_a_matrix_conjugation():
             d_inv = D_inverse(t, n + 1)
             for a in range(-5, 6):
                 got = a_matrix(a, t, n)
-                product = d.mul(a_tilde(a, t, n + 1)).mul(d_inv).restrict(n)
-                assert got == product
+                product = d.mul(a_tilde(a, t, n + 1)).mul(d_inv)
+                assert (got.n, list(got.items())) == (n, _entries_up_to(product, n))
                 assert all(v >= 0 for _, _, v in got.items())
 
 
@@ -116,9 +121,8 @@ def test_a_matrix_reports_negative_entry(monkeypatch):
     rows = {lam: dict(inverse_row(lam, t)) for lam in bipartitions_up_to(n + 1)}
     rows[ONE][ONE] = -7
     monkeypatch.setattr(grothendieck, "inverse_row", lambda lam_, t_: rows[lam_])
-    product = D_matrix(t, n + 1).mul(a_tilde(a, t, n + 1)).mul(
-        BipartitionMatrix(n + 1, rows)).restrict(n)
-    negative = {f"{v} at ({lam}, {mu})" for lam, mu, v in product.items() if v < 0}
+    product = D_matrix(t, n + 1).mul(a_tilde(a, t, n + 1)).mul(BipartitionMatrix(n + 1, rows))
+    negative = {f"{v} at ({lam}, {mu})" for lam, mu, v in _entries_up_to(product, n) if v < 0}
     assert negative
     with pytest.raises(InternalInconsistencyError) as exc:
         a_matrix(a, t, n)

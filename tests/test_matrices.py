@@ -40,12 +40,6 @@ def test_mul_drops_cancelled_entries_and_rows():
     assert left.mul(right).mul(cancel).rows == {}
 
 
-def test_restrict_drops_the_rows_it_empties():
-    m = BipartitionMatrix(2, {BOX: {ONE: 4}, WBOX: {ONE: 1, VAC: 2}, ONE: {VAC: 1}})
-    assert m.restrict(1).rows == {WBOX: {VAC: 2}}
-    assert m.restrict(0).rows == {}
-
-
 def test_fill_order_does_not_change_equality():
     entries = [(r, c, v) for r in bipartitions_up_to(3) for c, v in inverse_row(r, 0).items()]
     forward, backward = BipartitionMatrix(3), BipartitionMatrix(3)

@@ -1,7 +1,9 @@
 """The sparse verify checks: default-config counts, and injected defects that
 each rewritten check must still report with its usual message."""
 
+import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -455,6 +457,62 @@ def test_run_all_reports_a_cap_dropped_by_the_scan():
     failing, uniqueness = proc.stdout.splitlines()
     assert {"caps.dimension-oracle", "caps.matching-uniqueness"} <= set(failing.split())
     assert uniqueness == "uniqueness fail"
+
+
+# Delta(empty) added to every D row of size >= 4 with at least two entries
+# makes b(t) and A_a(t) negative.  Each check that builds them records the
+# negative entry as its own failure, so the JSON report still lists every
+# check, in a fresh interpreter as above.
+ADDED_VACUUM = """
+import sys
+from functools import lru_cache
+from gltcomb import caps, cli
+from gltcomb.partitions import Bipartition
+
+real = caps.lift_row
+VAC = Bipartition.of((), ())
+
+
+@lru_cache(maxsize=None)
+def lift_row(lam, t):
+    row = real(lam, t)
+    return {**row, VAC: 1} if len(row) >= 2 and lam.size >= 4 else row
+
+
+caps.lift_row = lift_row
+sys.exit(cli.main(["verify", "--t-range", "-4..4", "--max-size", "5", "--format", "json"]))
+"""
+
+
+def test_verify_json_reports_every_check_when_a_table_goes_negative():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gltcomb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", ADDED_VACUUM], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = json.loads(proc.stdout)
+    assert not report["ok"]
+    assert len(report["checks"]) == len(verify.ALL_CHECKS) == 34
+    failures = {c["name"]: c["failures"] for c in report["checks"]}
+    negative = "negative tilting multiplicity -1 at ([[],[5]], [[],[]]), a=0, t=-4"
+    assert negative in failures["grothendieck.above-diagonal"]
+    assert negative in failures["grothendieck.nonnegative"]
+    assert "negative tilting multiplicity -1 at ([[1],[4]], [[],[]]), t=-3" in failures["grothendieck.b-roundtrip"]
+
+
+def test_equal_cores_weights_compares_whole_weights(monkeypatch):
+    # an entry at content 1000 + |lam| tells apart every pair of different
+    # sizes, far outside any window of contents near t and max_size
+    real = fock.tensor_weight
+    monkeypatch.setattr(fock, "tensor_weight", lambda lam, t: {**real(lam, t), 1000 + lam.size: 1})
+    cfg = verify.VerifyConfig()
+    rng, expected = random.Random(cfg.seed), []
+    for _ in range(200):
+        t = rng.choice(cfg.t_values)
+        lam, mu = verify.cap_move_pair(rng, t, cfg.max_size)
+        if lam != mu:
+            expected.append(f"weight identity fails: {lam}, {mu}, t={t}, a={1000 + mu.size}")
+    assert expected and verify.check_equal_cores_weights(cfg).failures == expected
 
 
 # Bipartition's dataclass order compares black before size, so [[],[2]] sorts
