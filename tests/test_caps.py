@@ -194,3 +194,21 @@ def test_lift_row_matches_the_cap_diagram_construction():
         assert row == want and list(row) == list(want), (lam, t)
         if t != GENERIC:
             assert _caps_of(lam, t)[1] == _reference_caps(lam, t), (lam, t)
+
+
+def test_lift_row_scans_at_most_the_span_of_its_caps(monkeypatch):
+    # circles lie at or right of -white_1 and crosses at or left of
+    # l(white) - 1, whatever t, so the scan never reads the window's arrows
+    scanned = []
+    real = caps._symbol_run
+
+    def symbol_run(*args):
+        scanned.append(real(*args))
+        return scanned[-1]
+
+    monkeypatch.setattr(caps, "_symbol_run", symbol_run)
+    for lam in bipartitions_up_to(6):
+        for t in (-50, *range(-8, 9), 50):
+            scanned.clear()
+            lift_row.__wrapped__(lam, t)
+            assert len(scanned[0]) <= lam.white.length + lam.white.row(1), (lam, t)
